@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Survey the Frobenius divisibility property (n | nu_n for every divisor n of
-the group order) across built-in families and cyclic counterexamples.
+the group order) across the built-in families' default grids (FAMILIES in
+fsind.extensions) and cyclic counterexamples.
 
 Usage:
-    python scripts/frobenius_survey.py [--jobs K]
+    python scripts/frobenius_survey.py
 """
 
 from __future__ import annotations
@@ -13,20 +14,14 @@ import sys
 import time
 
 from fsind.cocycles import psi
-from fsind.extensions import GTCategory, parse_family_spec
+from fsind.extensions import FAMILIES, GTCategory
 from fsind.indicators import frobenius_check
 
-FAMILY_SPECS = [
-    "h2n2:2:0", "h2n2:2:1", "h2n2:3:1", "h2n2:4:1", "h2n2:5:2", "h2n2:6:1",
-    "hn3:3:0:0", "hn3:3:1:1", "hn3:3:0:1", "hn3:5:1:2",
-    "suzuki:1:2:1:1", "suzuki:1:2:-1:-1", "suzuki:3:2:1:-1", "suzuki:2:3:-1:1",
-    "suzukiP:2:2:1", "suzukiP:2:2:-1", "suzukiP:4:3:1",
-]
 CYCLIC_CASES = [(2, 1), (3, 1), (4, 1), (5, 1), (9, 3), (13, 1), (15, 1)]
 
 
-def survey_one(cat, jobs):
-    report = frobenius_check(cat, jobs=jobs)
+def survey_one(cat):
+    report = frobenius_check(cat)
     fails = [e.n for e in report.entries if not e.divisible_by_n]
     refined = [
         (e.n, e.divisible_by_n_over_sqrt_p)
@@ -43,19 +38,17 @@ def survey_one(cat, jobs):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=None)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     t0 = time.perf_counter()
     print("== built-in families (expected: all pass) ==")
     family_ok = all(
-        survey_one(parse_family_spec(spec), args.jobs) for spec in FAMILY_SPECS
+        [survey_one(fam.build(*params)) for fam in FAMILIES.values() for params in fam.grid]
     )
     print("\n== cyclic groups with nontrivial cocycles ==")
     for big_n, r in CYCLIC_CASES:
         w = psi(big_n, r)
-        survey_one(GTCategory(w.group, w, label=f"(Z{big_n},psi^{r})"), args.jobs)
+        survey_one(GTCategory(w.group, w, label=f"(Z{big_n},psi^{r})"))
     print(f"\nelapsed {time.perf_counter() - t0:.1f}s")
     return 0 if family_ok else 1
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Sweep every built-in family, comparing closed-form indicators against
-brute-force evaluation, and print a per-family summary table.
+"""Sweep every built-in family over its default grid (FAMILIES in
+fsind.extensions), comparing closed-form indicators against brute-force
+evaluation, and print a per-family summary table.
 
 Usage:
-    python scripts/sweep_closed_vs_brute.py [--max-h2n2 6] [--hn3 3 5] [--jobs K]
+    python scripts/sweep_closed_vs_brute.py
 """
 
 from __future__ import annotations
@@ -13,87 +14,32 @@ import sys
 import time
 
 from fsind.cyclotomic import divisors
-from fsind.extensions import (
-    family_h2n2,
-    family_hn3,
-    family_suzuki_cyclic,
-    family_suzuki_noncyclic,
-    omega_from_extension,
-)
-from fsind.indicators import (
-    nu_brute,
-    nu_h2n2_closed,
-    nu_hn3_closed,
-    nu_suzuki_cyclic_closed,
-    nu_suzuki_noncyclic_closed,
-)
-
-
-def cases(args):
-    for big_n in range(2, args.max_h2n2 + 1):
-        for xi_exp in range(big_n):
-            yield (
-                f"h2n2:{big_n}:{xi_exp}",
-                omega_from_extension(family_h2n2(big_n, xi_exp), verify=False),
-                lambda n, N=big_n, x=xi_exp: nu_h2n2_closed(N, x, n),
-                divisors(2 * big_n * big_n),
-            )
-    for big_n in args.hn3:
-        for xi_exp in range(big_n):
-            for zeta_exp in range(big_n):
-                yield (
-                    f"hn3:{big_n}:{xi_exp}:{zeta_exp}",
-                    omega_from_extension(
-                        family_hn3(big_n, xi_exp, zeta_exp), verify=False
-                    ),
-                    lambda n, N=big_n, x=xi_exp, z=zeta_exp: nu_hn3_closed(N, x, z, n),
-                    divisors(big_n ** 3),
-                )
-    for big_n in (1, 2, 3):
-        for l in (2, 3, 4):
-            for alpha in (1, -1):
-                for beta in (1, -1):
-                    if big_n % 2 == 0 and alpha == 1:
-                        continue
-                    yield (
-                        f"suzuki:{big_n}:{l}:{alpha}:{beta}",
-                        family_suzuki_cyclic(big_n, l, alpha, beta),
-                        lambda n, N=big_n, L=l, a=alpha, b=beta:
-                            nu_suzuki_cyclic_closed(N, L, a, b, n),
-                        divisors(4 * big_n * l),
-                    )
-    for big_n in (2, 4):
-        for l in (2, 3):
-            for beta in (1, -1):
-                yield (
-                    f"suzukiP:{big_n}:{l}:{beta}",
-                    family_suzuki_noncyclic(big_n, l, beta),
-                    lambda n, N=big_n, L=l, b=beta:
-                        nu_suzuki_noncyclic_closed(N, L, b, n),
-                    divisors(4 * big_n * l),
-                )
+from fsind.extensions import FAMILIES
+from fsind.indicators import nu_brute
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-h2n2", type=int, default=6)
-    parser.add_argument("--hn3", type=int, nargs="*", default=[3, 5])
-    parser.add_argument("--jobs", type=int, default=None)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     total = mismatches = 0
     t0 = time.perf_counter()
-    for spec, cat, closed, n_values in cases(args):
-        bad = []
-        for n in n_values:
-            total += 1
-            want = closed(n)
-            got = nu_brute(cat, n, jobs=args.jobs)
-            if want != got:
-                mismatches += 1
-                bad.append((n, want.render_text(), got.render_text()))
-        status = "ok" if not bad else f"MISMATCH {bad}"
-        print(f"{spec:<22} order={cat.group.order:<4} n-values={len(n_values):<3} {status}")
+    for fam in FAMILIES.values():
+        for params in fam.grid:
+            cat = fam.build(*params)
+            n_values = divisors(cat.group.order)
+            bad = []
+            for n in n_values:
+                total += 1
+                want = fam.closed(*params, n)
+                got = nu_brute(cat, n)
+                if want != got:
+                    mismatches += 1
+                    bad.append((n, want.render_text(), got.render_text()))
+            status = "ok" if not bad else f"MISMATCH {bad}"
+            print(
+                f"{fam.spec(params):<22} order={cat.group.order:<4} "
+                f"n-values={len(n_values):<3} {status}"
+            )
     elapsed = time.perf_counter() - t0
     print(f"\n{total} comparisons, {mismatches} mismatches, {elapsed:.1f}s")
     return 1 if mismatches else 0

@@ -16,6 +16,7 @@ from .cyclotomic import (
 )
 from .groups import (
     FiniteGroup,
+    SpecError,
     direct_product,
     group_from_table_file,
     make_cyclic,
@@ -23,6 +24,7 @@ from .groups import (
     parse_group_spec,
 )
 from .cocycles import (
+    CocycleError,
     ThreeCocycle,
     c_omega,
     cocycle_from_file,
@@ -38,6 +40,7 @@ from .cocycles import (
     verify_cocycle,
 )
 from .extensions import (
+    FAMILIES,
     ExtensionData,
     GTCategory,
     MatchedPair,
@@ -54,7 +57,6 @@ from .extensions import (
 )
 from .indicators import (
     FrobeniusReport,
-    IndicatorReport,
     frobenius_check,
     nu2_tambara_yamagami,
     nu_brute,

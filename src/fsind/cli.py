@@ -17,33 +17,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 
 from .cyclotomic import divisors, gauss_sum_closed, gauss_sum_direct
-from .groups import parse_group_spec
-from .cocycles import parse_cocycle_spec, verify_cocycle
-from .extensions import parse_family_spec
-from .indicators import (
-    frobenius_check,
-    nu_brute,
-    nu_group_algebra,
-    nu_h2n2_closed,
-    nu_hn3_closed,
-    nu_suzuki_cyclic_closed,
-    nu_suzuki_noncyclic_closed,
-)
+from .groups import SpecError, parse_group_spec
+from .cocycles import CocycleError, parse_cocycle_spec, verify_cocycle
+from .extensions import GTCategory, parse_family_spec, split_family_spec
+from .indicators import frobenius_check, nu_brute, nu_group_algebra, nu_hn3_closed
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_COCYCLE = 3
 EXIT_FROBENIUS = 4
 EXIT_MISMATCH = 5
-
-
-class SpecError(Exception):
-    pass
 
 
 def parse_n_list(text, group_order=None):
@@ -158,24 +145,17 @@ def cmd_group(args):
 
 def cmd_gt(args):
     grp = parse_group_spec(args.group)
-    try:
-        cocycle = parse_cocycle_spec(args.cocycle, grp)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COCYCLE
+    cocycle = parse_cocycle_spec(args.cocycle, grp)
     if args.verify:
         report = verify_cocycle(cocycle, mode="full" if args.full_verify else "auto")
         if not report.ok:
-            print(f"error: {report}", file=sys.stderr)
-            return EXIT_COCYCLE
-    from .extensions import GTCategory
-
+            raise CocycleError(str(report))
     cat = GTCategory(grp, cocycle, label=f"({grp.label},{cocycle.label})")
     n_list = parse_n_list(args.n, grp.order)
     results = []
     for n in n_list:
         t0 = time.perf_counter()
-        value = nu_brute(cat, n, jobs=args.jobs)
+        value = nu_brute(cat, n)
         results.append(
             _result_row(n, value, "brute", time.perf_counter() - t0, args.stable)
         )
@@ -191,40 +171,22 @@ def cmd_gt(args):
     return EXIT_OK
 
 
-def _closed_form(spec, n):
-    """Closed-form value for a family spec, or None when only brute applies."""
-    kind, _, rest = spec.partition(":")
-    if kind == "h2n2":
-        n_s, xi_s = rest.split(":")
-        return nu_h2n2_closed(int(n_s), int(xi_s), n)
-    if kind == "hn3":
-        n_s, xi_s, zeta_s = rest.split(":")
-        return nu_hn3_closed(int(n_s), int(xi_s), int(zeta_s), n)
-    if kind == "suzuki":
-        n_s, l_s, a_s, b_s = rest.split(":")
-        return nu_suzuki_cyclic_closed(int(n_s), int(l_s), int(a_s), int(b_s), n)
-    if kind == "suzukiP":
-        n_s, l_s, b_s = rest.split(":")
-        return nu_suzuki_noncyclic_closed(int(n_s), int(l_s), int(b_s), n)
-    return None
-
-
 def cmd_family(args):
-    cat = parse_family_spec(args.spec)
+    fam, params = split_family_spec(args.spec)
+    cat = fam.build(*params)
     n_list = parse_n_list(args.n, cat.group.order)
     results = []
     mismatch = None
     for n in n_list:
         t0 = time.perf_counter()
-        closed = _closed_form(args.spec, n)
-        if closed is None:
-            value = nu_brute(cat, n, jobs=args.jobs)
+        if fam.closed is None:
+            value = nu_brute(cat, n)
             method = "brute"
         else:
-            value = closed
+            value = fam.closed(*params, n)
             method = "closed-form"
         if args.check:
-            brute = nu_brute(cat, n, jobs=args.jobs)
+            brute = nu_brute(cat, n)
             if value != brute:
                 mismatch = (n, value, brute)
             method += "+checked"
@@ -309,18 +271,11 @@ def _target_category(args):
         raise SpecError("frobenius needs --family or --group")
     grp = parse_group_spec(args.group)
     cocycle = parse_cocycle_spec(args.cocycle or "trivial", grp)
-    from .extensions import GTCategory
-
     return GTCategory(grp, cocycle, label=f"({grp.label},{cocycle.label})")
 
 
 def cmd_frobenius(args):
-    try:
-        cat = _target_category(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COCYCLE
-    report = frobenius_check(cat, jobs=args.jobs)
+    report = frobenius_check(_target_category(args))
     lines = []
     results = []
     for e in report.entries:
@@ -402,11 +357,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, with_jobs=True):
+    def common(p):
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.add_argument("--stable", action="store_true", help="omit timing fields")
-        if with_jobs:
-            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("group", help="group-algebra indicators")
     p.add_argument("spec")
@@ -431,7 +384,7 @@ def build_parser():
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("table27", help="dimension-27 indicator table")
-    common(p, with_jobs=False)
+    common(p)
     p.set_defaults(func=cmd_table27)
 
     p = sub.add_parser("frobenius", help="Frobenius divisibility analysis")
@@ -444,7 +397,7 @@ def build_parser():
     p = sub.add_parser("gauss", help="quadratic Gauss sum, both evaluations")
     p.add_argument("a", type=int)
     p.add_argument("m", type=int)
-    common(p, with_jobs=False)
+    common(p)
     p.set_defaults(func=cmd_gauss)
 
     return parser
@@ -459,7 +412,10 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SpecError, ValueError, OSError) as exc:
+    except CocycleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COCYCLE
+    except (ValueError, OSError) as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

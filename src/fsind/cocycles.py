@@ -14,10 +14,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cyclotomic import CyclotomicInteger, RootOfUnity
-from .groups import FiniteGroup, direct_product, make_cyclic
+from .groups import FiniteGroup, SpecError, direct_product, make_cyclic
 
 _FULL_VERIFY_BOUND = 40
 _DEFAULT_SAMPLES = 1_000_000
+
+
+class CocycleError(ValueError):
+    """A function that is not a normalized 3-cocycle on its group."""
 
 
 @dataclass
@@ -84,9 +88,21 @@ def make_cyclic_cached(n):
 
 
 def psi_on(group, r):
-    """psi^r regarded as a cocycle on a given cyclic group instance."""
-    base = psi(group.order, r)
-    return ThreeCocycle(group, base.value_order, base.exp_fn, label=base.label)
+    """psi^r on any cyclic group, read through the discrete log to its
+    smallest generator (on Z_N that generator is 1 and the log the identity)."""
+    n = group.order
+    gen = next((g for g in range(n) if group.element_order(g) == n), None)
+    if gen is None:
+        raise CocycleError("psi cocycles require a cyclic group")
+    log = [0] * n
+    x = 0
+    for k in range(n):
+        log[x] = k
+        x = group.mul(x, gen)
+    base = psi(n, r).exp_fn
+    return ThreeCocycle(
+        group, n * n, lambda a, b, c: base(log[a], log[b], log[c]), label=f"psi_{n}^{r}"
+    )
 
 
 def verify_cocycle(cocycle, mode="auto", samples=_DEFAULT_SAMPLES, rng_seed=0):
@@ -240,19 +256,19 @@ def cocycle_from_file(group, path, verify=True):
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.split() for ln in fh if ln.strip()]
-    if not lines or lines[0][0] != "order":
-        raise ValueError("cocycle file must start with 'order M'")
+    if not lines or lines[0][0] != "order" or len(lines[0]) != 2:
+        raise SpecError("cocycle file must start with 'order M'")
     m = int(lines[0][1])
     if m < 1:
-        raise ValueError("value order must be positive")
+        raise SpecError("value order must be positive")
     table: dict[tuple[int, int, int], int] = {}
     for parts in lines[1:]:
         if len(parts) != 4:
-            raise ValueError(f"bad cocycle line: {' '.join(parts)!r}")
+            raise SpecError(f"bad cocycle line: {' '.join(parts)!r}")
         g, h, k, e = map(int, parts)
         for v in (g, h, k):
             if not 0 <= v < group.order:
-                raise ValueError(f"element index {v} out of range")
+                raise SpecError(f"element index {v} out of range")
         table[(g, h, k)] = e % m
 
     cocycle = ThreeCocycle(
@@ -261,7 +277,7 @@ def cocycle_from_file(group, path, verify=True):
     if verify:
         report = verify_cocycle(cocycle, mode="auto")
         if not report.ok:
-            raise ValueError(str(report))
+            raise CocycleError(str(report))
     return cocycle
 
 
@@ -271,13 +287,11 @@ def parse_cocycle_spec(spec, group):
         return trivial_cocycle(group)
     kind, _, rest = spec.partition(":")
     if kind == "psi":
-        if not _is_cyclic(group):
-            raise ValueError("psi cocycles require a cyclic group")
-        return psi_on(group, int(rest))
+        try:
+            r = int(rest)
+        except ValueError:
+            raise SpecError(f"psi expects an integer power r, got {spec!r}") from None
+        return psi_on(group, r)
     if kind == "file":
         return cocycle_from_file(group, rest)
-    raise ValueError(f"unknown cocycle spec: {spec!r}")
-
-
-def _is_cyclic(group):
-    return any(group.element_order(g) == group.order for g in range(group.order))
+    raise SpecError(f"unknown cocycle spec: {spec!r}")

@@ -17,13 +17,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .cocycles import ThreeCocycle, trivial_cocycle, verify_cocycle
+from .cocycles import CocycleError, ThreeCocycle, trivial_cocycle, verify_cocycle
 from .groups import (
     FiniteGroup,
+    SpecError,
     direct_product,
     make_cyclic,
     make_dihedral,
     parse_group_spec,
+)
+from .indicators import (
+    nu_h2n2_closed,
+    nu_hn3_closed,
+    nu_suzuki_cyclic_closed,
+    nu_suzuki_noncyclic_closed,
 )
 
 
@@ -129,7 +136,7 @@ def omega_from_extension(data, verify="auto", label=None):
     if verify:
         report = verify_cocycle(omega, mode="auto" if verify == "auto" else verify)
         if not report.ok:
-            raise ValueError(f"inconsistent extension data: {report}")
+            raise CocycleError(f"inconsistent extension data: {report}")
     return GTCategory(grp, omega, label=label or data.label)
 
 
@@ -354,67 +361,138 @@ def pair_from_file(path):
     Format:
         F <group spec>
         G <group spec>
-        act_left            (optional; |G| rows of |F| entries: g |> x)
+        act_left            (optional; |G| rows of |F| entries in F: g |> x)
         ...rows...
-        act_right           (optional; |G| rows of |F| entries: g <| x)
+        act_right           (optional; |G| rows of |F| entries in G: g <| x)
         ...rows...
     Omitted action sections default to the trivial action.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    f_group = g_group = None
+        lines = [ln.split() for ln in fh if ln.strip()]
+    groups = {}
     tables = {}
     i = 0
     while i < len(lines):
-        head = lines[i].split()
-        if head[0] == "F":
-            f_group = parse_group_spec(head[1])
-            i += 1
-        elif head[0] == "G":
-            g_group = parse_group_spec(head[1])
-            i += 1
-        elif head[0] in ("act_left", "act_right"):
-            if f_group is None or g_group is None:
-                raise ValueError("group specs must precede action tables")
-            rows = []
-            for r in range(g_group.order):
-                rows.append([int(t) for t in lines[i + 1 + r].split()])
-                if len(rows[-1]) != f_group.order:
-                    raise ValueError(f"{head[0]} row {r} has wrong length")
-            tables[head[0]] = rows
-            i += 1 + g_group.order
+        head = lines[i]
+        i += 1
+        if head[0] in ("F", "G") and len(head) == 2:
+            groups[head[0]] = parse_group_spec(head[1])
+        elif head[0] in ("act_left", "act_right") and len(head) == 1:
+            if len(groups) < 2:
+                raise SpecError("group specs must precede action tables")
+            n_rows, width = groups["G"].order, groups["F"].order
+            bound = width if head[0] == "act_left" else n_rows
+            rows = lines[i:i + n_rows]
+            if len(rows) < n_rows:
+                raise SpecError(f"{head[0]} has {len(rows)} rows, expected |G| = {n_rows}")
+            tables[head[0]] = [
+                _action_row(head[0], r, row, width, bound) for r, row in enumerate(rows)
+            ]
+            i += n_rows
         else:
-            raise ValueError(f"unexpected line in pair file: {lines[i]!r}")
-    if f_group is None or g_group is None:
-        raise ValueError("pair file must declare both F and G")
+            raise SpecError(f"unexpected line in pair file: {' '.join(head)!r}")
+    if len(groups) < 2:
+        raise SpecError("pair file must declare both F and G")
     left = tables.get("act_left")
     right = tables.get("act_right")
     return MatchedPair(
-        f_group,
-        g_group,
+        groups["F"],
+        groups["G"],
         (lambda g, x: right[g][x]) if right else (lambda g, x: g),
         (lambda g, x: left[g][x]) if left else (lambda g, x: x),
     )
 
 
-def parse_family_spec(spec):
-    """Parse `h2n2:N:xi`, `hn3:N:xi:zeta`, `suzuki:N:L:alpha:beta`,
-    `suzukiP:N:L:beta`, `bismash:<pair-file>` into a GTCategory."""
+def _action_row(section, r, row, width, bound):
+    """One action-table row: `width` element indices, each in 0..bound-1."""
+    try:
+        values = [int(t) for t in row]
+    except ValueError:
+        values = []
+    if len(values) != width or not all(0 <= v < bound for v in values):
+        raise SpecError(f"{section} row {r}: expected {width} entries in 0..{bound - 1}")
+    return values
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+
+
+@dataclass(frozen=True)
+class Family:
+    """A built-in family: the fields of its spec `kind:field:...`, its
+    builder, its closed form nu(*params, n) and its default sweep grid."""
+
+    kind: str
+    fields: tuple[str, ...]
+    build: Callable[..., GTCategory]
+    closed: Callable | None = None
+    grid: tuple[tuple, ...] = ()
+
+    def spec(self, params):
+        return ":".join([self.kind, *map(str, params)])
+
+
+_SIGNS = (1, -1)
+
+FAMILIES = {
+    fam.kind: fam
+    for fam in (
+        Family(
+            "h2n2", ("N", "xi"),
+            lambda n, xi: omega_from_extension(family_h2n2(n, xi), verify=False),
+            nu_h2n2_closed,
+            tuple((n, xi) for n in range(2, 7) for xi in range(n)),
+        ),
+        Family(
+            "hn3", ("N", "xi", "zeta"),
+            lambda n, xi, zeta: omega_from_extension(family_hn3(n, xi, zeta), verify=False),
+            nu_hn3_closed,
+            tuple((n, xi, zeta) for n in (3, 5) for xi in range(n) for zeta in range(n)),
+        ),
+        Family(
+            "suzuki", ("N", "L", "alpha", "beta"),
+            family_suzuki_cyclic,
+            nu_suzuki_cyclic_closed,
+            tuple(
+                (n, l, alpha, beta)
+                for n in (1, 2, 3) for l in (2, 3, 4) for alpha in _SIGNS for beta in _SIGNS
+                if n % 2 or alpha == -1
+            ),
+        ),
+        Family(
+            "suzukiP", ("N", "L", "beta"),
+            family_suzuki_noncyclic,
+            nu_suzuki_noncyclic_closed,
+            tuple((n, l, beta) for n in (2, 4) for l in (2, 3) for beta in _SIGNS),
+        ),
+        Family("bismash", ("pair-file",), lambda path: family_bismash(pair_from_file(path))),
+    )
+}
+
+
+def split_family_spec(spec):
+    """(family, params) for a family spec: the one place a spec is split.
+
+    Fields are integers, except bismash's pair-file path, which is the whole
+    rest of the spec.  Range checks are left to the builders.
+    """
     kind, _, rest = spec.partition(":")
-    if kind == "h2n2":
-        n_s, xi_s = rest.split(":")
-        return omega_from_extension(family_h2n2(int(n_s), int(xi_s)), verify=False)
-    if kind == "hn3":
-        n_s, xi_s, zeta_s = rest.split(":")
-        return omega_from_extension(
-            family_hn3(int(n_s), int(xi_s), int(zeta_s)), verify=False
-        )
-    if kind == "suzuki":
-        n_s, l_s, a_s, b_s = rest.split(":")
-        return family_suzuki_cyclic(int(n_s), int(l_s), int(a_s), int(b_s))
-    if kind == "suzukiP":
-        n_s, l_s, b_s = rest.split(":")
-        return family_suzuki_noncyclic(int(n_s), int(l_s), int(b_s))
+    fam = FAMILIES.get(kind)
+    if fam is None:
+        raise SpecError(f"unknown family spec: {spec!r}")
     if kind == "bismash":
-        return family_bismash(pair_from_file(rest))
-    raise ValueError(f"unknown family spec: {spec!r}")
+        return fam, (rest,)
+    parts = rest.split(":")
+    try:
+        if len(parts) == len(fam.fields):
+            return fam, tuple(int(p) for p in parts)
+    except ValueError:
+        pass
+    raise SpecError(f"{kind} expects {':'.join(fam.fields)} (integers), got {spec!r}")
+
+
+def parse_family_spec(spec):
+    """Build the GTCategory of a family spec (see FAMILIES for the kinds)."""
+    fam, params = split_family_spec(spec)
+    return fam.build(*params)

@@ -15,6 +15,10 @@ _SAMPLED_TRIPLES = 100_000
 _FULL_ASSOC_BOUND = 300
 
 
+class SpecError(ValueError):
+    """A malformed spec string or input file."""
+
+
 class FiniteGroup:
     """A finite group on element indices 0..order-1 with identity 0."""
 
@@ -223,34 +227,6 @@ def direct_product(a, b):
 
 
 # ---------------------------------------------------------------------------
-# module-level conveniences mirroring the method API
-
-
-def power(group, g, k):
-    return group.power(g, k)
-
-
-def element_order(group, g):
-    return group.element_order(g)
-
-
-def torsion(group, n):
-    return group.torsion(n)
-
-
-def conjugacy_classes(group):
-    return group.conjugacy_classes()
-
-
-def centralizer(group, g):
-    return group.centralizer(g)
-
-
-def exponent(group):
-    return group.exponent()
-
-
-# ---------------------------------------------------------------------------
 # table files and spec strings
 
 
@@ -275,10 +251,12 @@ def group_from_table_file(path):
 def parse_group_spec(spec):
     """Parse `cyclic:N`, `dihedral:M`, `product:<a>,<b>`, `table:<path>`."""
     kind, _, rest = spec.partition(":")
-    if kind == "cyclic":
-        return make_cyclic(int(rest))
-    if kind == "dihedral":
-        return make_dihedral(int(rest))
+    if kind in ("cyclic", "dihedral"):
+        try:
+            order = int(rest)
+        except ValueError:
+            raise SpecError(f"{kind} expects an integer order, got {spec!r}") from None
+        return make_cyclic(order) if kind == "cyclic" else make_dihedral(order)
     if kind == "table":
         return group_from_table_file(rest)
     if kind == "product":
@@ -286,6 +264,6 @@ def parse_group_spec(spec):
         # right factor absorbs the rest (so nested products nest rightward)
         left, sep, right = rest.partition(",")
         if not sep:
-            raise ValueError(f"product spec needs two comma-separated parts: {rest!r}")
+            raise SpecError(f"product spec needs two comma-separated parts: {rest!r}")
         return direct_product(parse_group_spec(left), parse_group_spec(right))
-    raise ValueError(f"unknown group spec: {spec!r}")
+    raise SpecError(f"unknown group spec: {spec!r}")

@@ -14,8 +14,6 @@ the hot loop stays in machine arithmetic.
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .cyclotomic import (
@@ -27,7 +25,6 @@ from .cyclotomic import (
     sqrt_int,
 )
 from .cocycles import c_omega
-from .extensions import GTCategory
 
 
 def b_p(p, n):
@@ -43,34 +40,17 @@ def b_p(p, n):
 # brute force
 
 
-def nu_brute(cat, n, jobs=None):
+def nu_brute(cat, n):
     """The exact n-th indicator of a GTCategory by direct summation."""
     if n < 1:
         raise ValueError("n must be positive")
     grp = cat.group
     omega = cat.omega
-    elements = grp.torsion(n)
-    if jobs and jobs > 1 and len(elements) > 1:
-        chunks = [elements[i::jobs] for i in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            partials = list(
-                pool.map(lambda ch: _exponent_counts(grp, omega, ch, n), chunks)
-            )
-        counts: dict[int, int] = {}
-        for part in partials:
-            for e, c in part.items():
-                counts[e] = counts.get(e, 0) + c
-    else:
-        counts = _exponent_counts(grp, omega, elements, n)
-    return CyclotomicInteger(omega.value_order, counts)
-
-
-def _exponent_counts(grp, omega, elements, n):
     m = omega.value_order
     f = omega.exp_fn
     mul = grp.mul
     counts: dict[int, int] = {}
-    for g in elements:
+    for g in grp.torsion(n):
         acc = 0
         gk = g
         for _ in range(1, n):
@@ -78,7 +58,7 @@ def _exponent_counts(grp, omega, elements, n):
             gk = mul(gk, g)
         acc %= m
         counts[acc] = counts.get(acc, 0) + 1
-    return counts
+    return CyclotomicInteger(m, counts)
 
 
 def nu_group_algebra(grp, n):
@@ -221,15 +201,6 @@ def nu2_tambara_yamagami(grp, sign_tau):
 
 
 @dataclass
-class IndicatorReport:
-    label: str
-    n: int
-    value: CyclotomicInteger
-    method: str
-    elapsed: float
-
-
-@dataclass
 class FrobeniusEntry:
     n: int
     value: CyclotomicInteger
@@ -255,7 +226,7 @@ def _is_prime(p):
     return p >= 2 and factorize(p) == {p: 1}
 
 
-def frobenius_check(cat, jobs=None):
+def frobenius_check(cat):
     """Divisibility of nu_n by n over every divisor n of the group order.
 
     When p = gcd(n, c(omega)) is an odd prime, additionally tests the weaker
@@ -266,7 +237,7 @@ def frobenius_check(cat, jobs=None):
     c = c_omega(cat.omega)
     report = FrobeniusReport(cat.label, grp.order, c)
     for n in divisors(grp.order):
-        value = nu_brute(cat, n, jobs=jobs)
+        value = nu_brute(cat, n)
         entry = FrobeniusEntry(n, value, value.is_divisible_by_integer(n))
         p = math.gcd(n, c)
         if p > 1:

@@ -29,14 +29,14 @@ from fsind.cocycles import (
     psi,
 )
 from fsind.extensions import (
+    FAMILIES,
     GTCategory,
     family_bismash,
-    family_h2n2,
     family_hn3,
     family_suzuki_cyclic,
-    family_suzuki_noncyclic,
     h2n2_pair,
     omega_from_extension,
+    parse_family_spec,
 )
 from fsind.indicators import (
     frobenius_check,
@@ -45,8 +45,6 @@ from fsind.indicators import (
     nu_group_algebra,
     nu_h2n2_closed,
     nu_hn3_closed,
-    nu_suzuki_cyclic_closed,
-    nu_suzuki_noncyclic_closed,
 )
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -56,35 +54,15 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 _category_cache: dict[str, GTCategory] = {}
 
 
-def get_category(kind, *params):
-    key = f"{kind}:{':'.join(map(str, params))}"
-    if key not in _category_cache:
-        if kind == "h2n2":
-            cat = omega_from_extension(family_h2n2(*params), verify=False)
-        elif kind == "hn3":
-            cat = omega_from_extension(family_hn3(*params), verify=False)
-        elif kind == "suzuki":
-            cat = family_suzuki_cyclic(*params)
-        elif kind == "suzukiP":
-            cat = family_suzuki_noncyclic(*params)
-        else:
-            raise ValueError(kind)
-        _category_cache[key] = cat
-    return _category_cache[key]
+def category(spec):
+    if spec not in _category_cache:
+        _category_cache[spec] = parse_family_spec(spec)
+    return _category_cache[spec]
 
 
-def suzuki_grid():
-    for big_n in (1, 2, 3):
-        for l in (2, 3, 4):
-            for alpha in (1, -1):
-                for beta in (1, -1):
-                    if big_n % 2 == 0 and alpha == 1:
-                        continue
-                    yield ("suzuki", big_n, l, alpha, beta)
-    for big_n in (2, 4):
-        for l in (2, 3):
-            for beta in (1, -1):
-                yield ("suzukiP", big_n, l, beta)
+def family_grid():
+    """(family, params) over every family's default sweep grid."""
+    return [(fam, params) for fam in FAMILIES.values() for params in fam.grid]
 
 
 def report(capsys, number, name, started, limit_s):
@@ -134,46 +112,19 @@ def test_criterion_2_dimension_8_separation(capsys):
     # the two dimension-8 family members separate at nu_4
     assert nu_h2n2_closed(2, 1, 4) == 4
     assert nu_h2n2_closed(2, 0, 4) == 8
-    assert nu_brute(get_category("h2n2", 2, 1), 4) == 4
-    assert nu_brute(get_category("h2n2", 2, 0), 4) == 8
+    assert nu_brute(category("h2n2:2:1"), 4) == 4
+    assert nu_brute(category("h2n2:2:0"), 4) == 8
     report(capsys, 2, "dimension-8 separation", t0, 1)
 
 
 def test_criterion_3_closed_equals_brute(capsys):
     t0 = time.perf_counter()
     checked = 0
-    for big_n in range(2, 7):
-        for xi_exp in (0, 1):
-            cat = get_category("h2n2", big_n, xi_exp)
-            for n in divisors(2 * big_n * big_n):
-                assert nu_h2n2_closed(big_n, xi_exp, n) == nu_brute(cat, n), (
-                    "h2n2", big_n, xi_exp, n,
-                )
-                checked += 1
-    for big_n in (3, 5):
-        for xi_exp in range(big_n):
-            for zeta_exp in range(big_n):
-                cat = get_category("hn3", big_n, xi_exp, zeta_exp)
-                for n in divisors(big_n ** 3):
-                    got = nu_hn3_closed(big_n, xi_exp, zeta_exp, n)
-                    assert got == nu_brute(cat, n), (
-                        "hn3", big_n, xi_exp, zeta_exp, n,
-                    )
-                    checked += 1
-    for entry in suzuki_grid():
-        cat = get_category(*entry)
-        if entry[0] == "suzuki":
-            _, big_n, l, alpha, beta = entry
-            for n in divisors(4 * big_n * l):
-                got = nu_suzuki_cyclic_closed(big_n, l, alpha, beta, n)
-                assert got == nu_brute(cat, n), (entry, n)
-                checked += 1
-        else:
-            _, big_n, l, beta = entry
-            for n in divisors(4 * big_n * l):
-                got = nu_suzuki_noncyclic_closed(big_n, l, beta, n)
-                assert got == nu_brute(cat, n), (entry, n)
-                checked += 1
+    for fam, params in family_grid():
+        cat = category(fam.spec(params))
+        for n in divisors(cat.group.order):
+            assert fam.closed(*params, n) == nu_brute(cat, n), (fam.spec(params), n)
+            checked += 1
     assert checked < 10_000
     report(capsys, 3, f"closed form = brute force ({checked} values)", t0, 120)
 
@@ -202,17 +153,9 @@ def test_criterion_5_cyclic_counterexample(capsys):
 
 def test_criterion_6_frobenius_positive_suite(capsys):
     t0 = time.perf_counter()
-    cats = []
-    for big_n in range(2, 7):
-        cats.append(family_bismash(h2n2_pair(big_n)))
-        for xi_exp in range(big_n):
-            cats.append(get_category("h2n2", big_n, xi_exp))
-    for big_n in (3, 5):
-        for xi_exp in range(big_n):
-            for zeta_exp in range(big_n):
-                cats.append(get_category("hn3", big_n, xi_exp, zeta_exp))
-    for entry in suzuki_grid():
-        cats.append(get_category(*entry))
+    h2n2_orders = sorted({params[0] for params in FAMILIES["h2n2"].grid})
+    cats = [family_bismash(h2n2_pair(big_n)) for big_n in h2n2_orders]
+    cats += [category(fam.spec(params)) for fam, params in family_grid()]
     for cat in cats:
         rep = frobenius_check(cat)
         assert rep.verdict, (cat.label, [e.n for e in rep.entries if not e.divisible_by_n])
@@ -224,7 +167,7 @@ def test_criterion_7_property_suites(capsys):
     # class-function property on every built-in category of order <= 200
     small_cats = [
         cat for cat in _category_cache.values() if cat.group.order <= 200
-    ] or [get_category("h2n2", 3, 1)]
+    ] or [category("h2n2:3:1")]
     for cat in small_cats:
         grp, w = cat.group, cat.omega
         for cls in grp.conjugacy_classes():
@@ -256,7 +199,7 @@ def test_criterion_7_property_suites(capsys):
         v = nu_brute(cat, 2)
         assert v.is_rational()
     # lambda / eta choices do not change indicators
-    base = get_category("hn3", 3, 1, 2)
+    base = category("hn3:3:1:2")
     for lambda_exp in (2, 5, 8):
         alt = omega_from_extension(
             family_hn3(3, 1, 2, lambda_exp=lambda_exp), verify=False

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fsind.extensions import FAMILIES
 from fsind.cli import (
     EXIT_COCYCLE,
     EXIT_FROBENIUS,
@@ -17,6 +21,23 @@ from fsind.cli import (
     SpecError,
     main,
     parse_n_list,
+)
+
+
+# family specs for the fuzz test: a registry kind or junk, then 0-5 fields
+# from -2..4 and non-numeric tokens (half the draws take the kind's own field
+# count, so the builders are reached); parameters of at most 4 keep every
+# group that gets built at order 64 or below
+_FIELD = st.sampled_from([*map(str, range(-2, 5)), "", "x", "1.5"])
+
+
+def _fields(kind):
+    arity = len(FAMILIES[kind].fields) if kind in FAMILIES else 2
+    return st.lists(_FIELD, max_size=5) | st.lists(_FIELD, min_size=arity, max_size=arity)
+
+
+FAMILY_SPECS = st.sampled_from([*FAMILIES, "", "junk", "H2N2"]).flatmap(
+    lambda kind: _fields(kind).map(lambda fields: ":".join([kind, *fields]))
 )
 
 
@@ -108,6 +129,35 @@ class TestGtCommand:
         )
         assert code == EXIT_COCYCLE
 
+    def test_malformed_cocycle_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "header-only.txt"
+        path.write_text("order\n")
+        code, _, err = run(
+            capsys, "gt", "--group", "cyclic:3",
+            "--cocycle", f"file:{path}", "--n", "3",
+        )
+        assert code == EXIT_PARSE
+        assert "must start with 'order M'" in err
+
+    def test_malformed_psi_power_is_parse_error(self, capsys):
+        code, _, err = run(
+            capsys, "gt", "--group", "cyclic:4", "--cocycle", "psi:x", "--n", "2"
+        )
+        assert code == EXIT_PARSE
+        assert "psi expects" in err
+
+    def test_psi_on_cyclic_product_matches_z6(self, capsys):
+        texts = {}
+        for group in ("product:cyclic:2,cyclic:3", "cyclic:6"):
+            code, out, _ = run(
+                capsys, "gt", "--group", group, "--cocycle", "psi:1", "--n", "1..6",
+                "--verify", "--full-verify", "--format", "json", "--stable",
+            )
+            assert code == EXIT_OK, group
+            texts[group] = [row["text"] for row in json.loads(out)["results"]]
+        assert texts["product:cyclic:2,cyclic:3"] == texts["cyclic:6"]
+        assert texts["cyclic:6"][5] == "0"
+
 
 class TestFamilyCommand:
     def test_closed_with_check(self, capsys):
@@ -128,6 +178,41 @@ class TestFamilyCommand:
         assert code == EXIT_OK
         assert "[brute]" in out
         assert "nu_6 = 6" in out
+
+    def test_field_errors_name_the_fields(self, capsys):
+        for spec, expected in (
+            ("h2n2:3", "h2n2 expects N:xi"),
+            ("suzukiP:2:two:1", "suzukiP expects N:L:beta"),
+        ):
+            code, _, err = run(capsys, "family", spec, "--n", "1")
+            assert code == EXIT_PARSE
+            assert expected in err
+
+    def test_bismash_short_action_table(self, capsys, tmp_path):
+        path = tmp_path / "pair.txt"
+        path.write_text("F cyclic:2\nG cyclic:3\nact_right\n0 1\n")
+        code, _, err = run(capsys, "family", f"bismash:{path}", "--n", "1")
+        assert code == EXIT_PARSE
+        assert "act_right has 1 rows" in err and "Traceback" not in err
+
+    def test_bismash_action_entry_out_of_range(self, capsys, tmp_path):
+        path = tmp_path / "pair.txt"
+        path.write_text("F cyclic:2\nG cyclic:3\nact_right\n0 0\n1 3\n2 1\n")
+        code, _, err = run(capsys, "family", f"bismash:{path}", "--n", "1")
+        assert code == EXIT_PARSE
+        assert "act_right row 1" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(FAMILY_SPECS)
+    @example("h2n2:4:-1")
+    @example("hn3:3:4:-2")
+    @example("suzuki:4:4:-1:-1")
+    @example("suzukiP:4:4:-1")
+    def test_spec_fuzz_exits_cleanly(self, spec):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["family", spec, "--n", "1", "--stable"])
+        assert code in (EXIT_OK, EXIT_PARSE), (spec, code, err.getvalue())
 
 
 class TestTable27Command:
@@ -174,6 +259,18 @@ class TestFrobeniusCommand:
     def test_missing_target(self, capsys):
         code, _, err = run(capsys, "frobenius")
         assert code == EXIT_PARSE
+
+    def test_unknown_family_is_parse_error(self, capsys):
+        code, _, err = run(capsys, "frobenius", "--family", "nope:1")
+        assert code == EXIT_PARSE
+        assert "unknown family" in err
+
+    def test_malformed_group_is_parse_error(self, capsys):
+        code, _, err = run(
+            capsys, "frobenius", "--group", "cyclic:abc", "--cocycle", "psi:1"
+        )
+        assert code == EXIT_PARSE
+        assert "cyclic expects" in err
 
 
 class TestGaussCommand:

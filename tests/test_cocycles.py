@@ -23,7 +23,7 @@ from fsind.cocycles import (
     verify_cocycle,
 )
 from fsind.groups import make_cyclic, make_dihedral
-from fsind.extensions import parse_family_spec
+from fsind.extensions import parse_family_spec, split_family_spec
 
 
 def family_cocycles_upto(order_bound):
@@ -196,8 +196,8 @@ class TestCohomologicalOrder:
 
 def _trivially_restricted_subgroup(spec, grp):
     """Elements of a normal subgroup on which the family cocycle is 1."""
-    kind, _, rest = spec.partition(":")
-    parts = [int(p) for p in rest.split(":")]
+    fam, parts = split_family_spec(spec)
+    kind = fam.kind
     if kind == "h2n2":
         return range(parts[0] ** 2)  # the Z_N x Z_N factor
     if kind == "hn3":

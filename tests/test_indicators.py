@@ -22,15 +22,7 @@ from fsind.cocycles import (
     psi,
     trivial_cocycle,
 )
-from fsind.extensions import (
-    GTCategory,
-    family_h2n2,
-    family_hn3,
-    family_suzuki_cyclic,
-    family_suzuki_noncyclic,
-    omega_from_extension,
-    parse_family_spec,
-)
+from fsind.extensions import FAMILIES, GTCategory, parse_family_spec
 from fsind.indicators import (
     b_p,
     frobenius_check,
@@ -83,24 +75,23 @@ class TestBruteForce:
             v = nu_brute(parse_family_spec(spec), 2)
             assert v.is_rational() and v == v.conjugate(), spec
 
-    def test_jobs_threading_matches_serial(self):
-        cat = parse_family_spec("suzuki:3:2:1:-1")
-        for n in (2, 3, 4, 6, 12):
-            assert nu_brute(cat, n, jobs=4) == nu_brute(cat, n)
-
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             nu_brute(cyclic_cat(3, 1), 0)
 
 
+def grid_categories(kind):
+    """(params, category) over the family's default sweep grid."""
+    fam = FAMILIES[kind]
+    return [(params, fam.build(*params)) for params in fam.grid]
+
+
 class TestClosedFormH2N2:
     def test_matches_brute(self):
-        for big_n in range(2, 7):
-            for xi_exp in (0, 1):
-                cat = omega_from_extension(family_h2n2(big_n, xi_exp), verify=False)
-                for n in divisors(2 * big_n) + [8, 12]:
-                    closed = nu_h2n2_closed(big_n, xi_exp, n)
-                    assert closed == nu_brute(cat, n), (big_n, xi_exp, n)
+        for (big_n, xi_exp), cat in grid_categories("h2n2"):
+            for n in divisors(2 * big_n) + [8, 12]:
+                closed = nu_h2n2_closed(big_n, xi_exp, n)
+                assert closed == nu_brute(cat, n), (big_n, xi_exp, n)
 
     def test_odd_n_square(self):
         assert nu_h2n2_closed(6, 1, 3) == 9
@@ -114,14 +105,11 @@ class TestClosedFormH2N2:
 
 class TestClosedFormHN3:
     def test_matches_brute_n3(self):
-        for xi_exp in range(3):
-            for zeta_exp in range(3):
-                cat = omega_from_extension(
-                    family_hn3(3, xi_exp, zeta_exp), verify=False
-                )
-                for n in (1, 3, 9, 27):
-                    closed = nu_hn3_closed(3, xi_exp, zeta_exp, n)
-                    assert closed == nu_brute(cat, n), (xi_exp, zeta_exp, n)
+        n3_grid = [p for p in FAMILIES["hn3"].grid if p[0] == 3]
+        for params in n3_grid:
+            cat = FAMILIES["hn3"].build(*params)
+            for n in (1, 3, 9, 27):
+                assert nu_hn3_closed(*params, n) == nu_brute(cat, n), (params, n)
 
     def test_exceptional_value(self):
         # the non-integer value in the dimension-27 family
@@ -139,27 +127,16 @@ class TestClosedFormHN3:
 
 class TestClosedFormSuzuki:
     def test_cyclic_matches_brute(self):
-        for big_n in (1, 2, 3):
-            for l in (2, 3):
-                for alpha in (1, -1):
-                    for beta in (1, -1):
-                        if big_n % 2 == 0 and alpha == 1:
-                            continue
-                        cat = family_suzuki_cyclic(big_n, l, alpha, beta)
-                        for n in divisors(4 * big_n * l):
-                            closed = nu_suzuki_cyclic_closed(big_n, l, alpha, beta, n)
-                            assert closed == nu_brute(cat, n), (
-                                big_n, l, alpha, beta, n,
-                            )
+        for params, cat in grid_categories("suzuki"):
+            for n in divisors(cat.group.order):
+                closed = nu_suzuki_cyclic_closed(*params, n)
+                assert closed == nu_brute(cat, n), (params, n)
 
     def test_noncyclic_matches_brute(self):
-        for big_n in (2, 4):
-            for l in (2, 3):
-                for beta in (1, -1):
-                    cat = family_suzuki_noncyclic(big_n, l, beta)
-                    for n in divisors(4 * big_n * l):
-                        closed = nu_suzuki_noncyclic_closed(big_n, l, beta, n)
-                        assert closed == nu_brute(cat, n), (big_n, l, beta, n)
+        for params, cat in grid_categories("suzukiP"):
+            for n in divisors(cat.group.order):
+                closed = nu_suzuki_noncyclic_closed(*params, n)
+                assert closed == nu_brute(cat, n), (params, n)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ import sys
 import time
 
 from .cyclotomic import divisors, gauss_sum_closed, gauss_sum_direct
-from .groups import SpecError, parse_group_spec
+from .groups import SpecError, parse_group_spec, spec_int
 from .cocycles import CocycleError, parse_cocycle_spec, verify_cocycle
 from .extensions import GTCategory, parse_family_spec, split_family_spec
 from .indicators import frobenius_check, nu_brute, nu_group_algebra, nu_hn3_closed
@@ -46,18 +46,12 @@ def parse_n_list(text, group_order=None):
             out.extend(divisors(group_order))
         elif ".." in item:
             lo, _, hi = item.partition("..")
-            try:
-                lo_i, hi_i = int(lo), int(hi)
-            except ValueError as exc:
-                raise SpecError(f"bad range {item!r}") from exc
+            lo_i, hi_i = (spec_int(end, f"bad range {item!r}") for end in (lo, hi))
             if lo_i > hi_i or lo_i < 1:
                 raise SpecError(f"bad range {item!r}")
             out.extend(range(lo_i, hi_i + 1))
         else:
-            try:
-                out.append(int(item))
-            except ValueError as exc:
-                raise SpecError(f"bad n value {item!r}") from exc
+            out.append(spec_int(item, f"bad n value {item!r}"))
     if not out or any(n < 1 for n in out):
         raise SpecError(f"invalid n list {text!r}")
     seen = set()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cyclotomic import CyclotomicInteger, RootOfUnity
-from .groups import FiniteGroup, SpecError, direct_product, make_cyclic
+from .groups import FiniteGroup, SpecError, direct_product, make_cyclic, spec_int
 
 _FULL_VERIFY_BOUND = 40
 _DEFAULT_SAMPLES = 1_000_000
@@ -255,20 +255,24 @@ def cocycle_from_file(group, path, verify=True):
     The value at (g, h, k) is exp(2*pi*i*e/M); absent triples default to 1.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.split() for ln in fh if ln.strip()]
-    if not lines or lines[0][0] != "order" or len(lines[0]) != 2:
+        lines = [(i, ln.split()) for i, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1][0] != "order" or len(lines[0][1]) != 2:
         raise SpecError("cocycle file must start with 'order M'")
-    m = int(lines[0][1])
+    word = lines[0][1][1]
+    m = spec_int(word, f"cocycle file header 'order M': expected an integer, got {word!r}")
     if m < 1:
         raise SpecError("value order must be positive")
     table: dict[tuple[int, int, int], int] = {}
-    for parts in lines[1:]:
+    for i, parts in lines[1:]:
         if len(parts) != 4:
-            raise SpecError(f"bad cocycle line: {' '.join(parts)!r}")
-        g, h, k, e = map(int, parts)
+            raise SpecError(f"cocycle file line {i}: expected 'g h k e', got {' '.join(parts)!r}")
+        g, h, k, e = (
+            spec_int(t, f"cocycle file line {i}, field {f}: expected an integer, got {t!r}")
+            for t, f in zip(parts, "ghke")
+        )
         for v in (g, h, k):
             if not 0 <= v < group.order:
-                raise SpecError(f"element index {v} out of range")
+                raise SpecError(f"cocycle file line {i}: element index {v} out of range")
         table[(g, h, k)] = e % m
 
     cocycle = ThreeCocycle(
@@ -287,10 +291,7 @@ def parse_cocycle_spec(spec, group):
         return trivial_cocycle(group)
     kind, _, rest = spec.partition(":")
     if kind == "psi":
-        try:
-            r = int(rest)
-        except ValueError:
-            raise SpecError(f"psi expects an integer power r, got {spec!r}") from None
+        r = spec_int(rest, f"psi expects an integer power r, got {spec!r}")
         return psi_on(group, r)
     if kind == "file":
         return cocycle_from_file(group, rest)

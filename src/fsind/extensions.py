@@ -63,7 +63,7 @@ def trivial_pair(f_group, g_group):
 def bicrossed_product(pair, label=None, check=True):
     """The group F |><| G on pairs (x, g) encoded as x*|G| + g.
 
-    Construction runs the group associativity check, which is what validates
+    Construction runs the exact group-axiom check, which is what validates
     the matched-pair compatibility conditions.
     """
     ng = pair.G.order

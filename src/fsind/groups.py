@@ -1,18 +1,15 @@
-"""Finite groups as dense multiplication structures on integer indices.
+"""Finite groups as multiplication tables on integer indices.
 
 Elements of a group of order n are the integers 0..n-1, with 0 always the
-identity.  Multiplication is stored as a dense table for orders up to
-DENSE_BOUND, which keeps the indicator loops at O(1) per product.
+identity.  Every group is tabulated as n rows of n indices, which keeps the
+indicator loops at O(1) per product, and its axioms are checked exactly at
+every order.
 """
 
 from __future__ import annotations
 
 import math
-import random
-
-DENSE_BOUND = 4096
-_SAMPLED_TRIPLES = 100_000
-_FULL_ASSOC_BOUND = 300
+from operator import itemgetter
 
 
 class SpecError(ValueError):
@@ -22,74 +19,71 @@ class SpecError(ValueError):
 class FiniteGroup:
     """A finite group on element indices 0..order-1 with identity 0."""
 
-    __slots__ = ("order", "label", "_table", "_mul_fn", "_inv", "_orders")
+    __slots__ = ("order", "label", "_table", "_inv", "_orders")
 
     def __init__(self, order, mul, label="G", check=True):
         if order < 1:
             raise ValueError("group order must be positive")
         self.order = order
         self.label = label
-        if order <= DENSE_BOUND:
-            self._table = [[mul(g, h) for h in range(order)] for g in range(order)]
-            self._mul_fn = None
-        else:
-            self._table = None
-            self._mul_fn = mul
+        self._table = [[mul(g, h) for h in range(order)] for g in range(order)]
+        # inverses come first: once every element has a right inverse, the
+        # generators Light's test accepts generate a subgroup, so the check
+        # picks at most log2(order) of them
+        self._inv = self._build_inverses()
         if check:
             self._check_axioms()
-        if self._table is not None:
-            self._inv = self._build_inverses()
-            self._orders = [self._element_order(g) for g in range(order)]
-        else:
-            self._inv = None
-            self._orders = None
+        self._orders = [self._element_order(g) for g in range(order)]
 
     # -- structure ----------------------------------------------------------
 
     def mul(self, g, h):
-        if self._table is not None:
-            return self._table[g][h]
-        return self._mul_fn(g, h)
+        return self._table[g][h]
 
     @property
     def identity(self):
         return 0
 
     def inv(self, g):
-        if self._inv is not None:
-            return self._inv[g]
-        # lazy fallback: g^(ord(g)-1)
-        return self.power(g, self.element_order(g) - 1)
+        return self._inv[g]
 
     def _build_inverses(self):
-        inv = [None] * self.order
-        for g in range(self.order):
-            for h in range(self.order):
-                if self.mul(g, h) == 0:
-                    inv[g] = h
-                    break
-            if inv[g] is None:
-                raise ValueError(f"element {g} has no inverse")
+        inv = []
+        for g, row in enumerate(self._table):
+            try:
+                inv.append(row.index(0))
+            except ValueError:
+                raise ValueError(f"element {g} has no inverse") from None
         return inv
 
     def _check_axioms(self):
+        """Identity, then Light's associativity test (Clifford & Preston,
+        The Algebraic Theory of Semigroups I, section 1.2).
+
+        The elements s with (x*s)*y == x*(s*y) for all x, y are closed under
+        multiplication, so testing a generating set tests every triple.  Each
+        generator is the first element the earlier ones do not generate, and
+        costs one row comparison per x.
+        """
+        table = self._table
         n = self.order
         for g in range(n):
-            if self.mul(g, 0) != g or self.mul(0, g) != g:
+            if table[g][0] != g or table[0][g] != g:
                 raise ValueError(f"element 0 is not a two-sided identity at {g}")
-        if n <= _FULL_ASSOC_BOUND:
-            triples = (
-                (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-            )
-        else:
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(_SAMPLED_TRIPLES)
-            )
-        for a, b, c in triples:
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise ValueError(f"multiplication is not associative at {(a, b, c)}")
+        gens = []
+        covered = {0}
+        for s in range(n):
+            if s in covered:
+                continue
+            get = itemgetter(*table[s])
+            for x, row in enumerate(table):
+                right = get(row)  # x*(s*y) for every y
+                left = table[row[s]]  # (x*s)*y for every y
+                if list(right) != left:
+                    y = next(y for y in range(n) if left[y] != right[y])
+                    raise ValueError(f"multiplication is not associative at {(x, s, y)}")
+            gens.append(s)
+            covered = set(self.generated_subgroup(gens))
 
     # -- element queries ----------------------------------------------------
 
@@ -115,9 +109,7 @@ class FiniteGroup:
         return k
 
     def element_order(self, g):
-        if self._orders is not None:
-            return self._orders[g]
-        return self._element_order(g)
+        return self._orders[g]
 
     def torsion(self, n):
         """All g with g^n = identity (equivalently: order of g divides n)."""
@@ -230,21 +222,33 @@ def direct_product(a, b):
 # table files and spec strings
 
 
+def spec_int(token, message):
+    """`token` read as an integer, or a SpecError with the given message."""
+    try:
+        return int(token)
+    except ValueError:
+        raise SpecError(message) from None
+
+
 def group_from_table_file(path):
     """Load a group from a text table: `order N` then N rows of N indices."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     if len(tokens) < 2 or tokens[0] != "order":
-        raise ValueError("table file must start with 'order N'")
-    n = int(tokens[1])
+        raise SpecError("table file must start with 'order N'")
+    word = tokens[1]
+    n = spec_int(word, f"table file header 'order N': expected an integer, got {word!r}")
     body = tokens[2:]
     if len(body) != n * n:
-        raise ValueError(f"expected {n * n} table entries, found {len(body)}")
-    rows = [[int(body[i * n + j]) for j in range(n)] for i in range(n)]
-    for row in rows:
-        for v in row:
+        raise SpecError(f"expected {n * n} table entries, found {len(body)}")
+    rows = [body[i * n:(i + 1) * n] for i in range(n)]
+    for i, row in enumerate(rows):
+        for j, token in enumerate(row):
+            v = row[j] = spec_int(
+                token, f"table row {i}, column {j}: expected an integer, got {token!r}"
+            )
             if not 0 <= v < n:
-                raise ValueError(f"table entry {v} out of range")
+                raise SpecError(f"table row {i}, column {j}: entry {v} out of range 0..{n - 1}")
     return FiniteGroup(n, lambda g, h: rows[g][h], label="table", check=True)
 
 
@@ -252,10 +256,7 @@ def parse_group_spec(spec):
     """Parse `cyclic:N`, `dihedral:M`, `product:<a>,<b>`, `table:<path>`."""
     kind, _, rest = spec.partition(":")
     if kind in ("cyclic", "dihedral"):
-        try:
-            order = int(rest)
-        except ValueError:
-            raise SpecError(f"{kind} expects an integer order, got {spec!r}") from None
+        order = spec_int(rest, f"{kind} expects an integer order, got {spec!r}")
         return make_cyclic(order) if kind == "cyclic" else make_dihedral(order)
     if kind == "table":
         return group_from_table_file(rest)

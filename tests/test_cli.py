@@ -6,12 +6,14 @@ import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsind.extensions import FAMILIES
+from fsind.extensions import FAMILIES, bicrossed_product, h2n2_pair
 from fsind.cli import (
     EXIT_COCYCLE,
     EXIT_FROBENIUS,
@@ -39,6 +41,37 @@ def _fields(kind):
 FAMILY_SPECS = st.sampled_from([*FAMILIES, "", "junk", "H2N2"]).flatmap(
     lambda kind: _fields(kind).map(lambda fields: ":".join([kind, *fields]))
 )
+
+
+# file bodies for the fuzz tests: a header `order M` (or junk), then `width`
+# lines of `width` tokens (or lines of any number of tokens), three tokens in
+# four in 0..M-1 and the rest negative, too large, junk or a header word; M of
+# at most 4 keeps every table and cocycle check cheap
+_JUNK = st.sampled_from(["-1", "5", "", "x", "1.5", "order"])
+
+
+def _body(order, width):
+    valid = st.sampled_from([str(v) for v in range(order)])
+    token = st.one_of(valid, valid, valid, _JUNK)
+    line = st.lists(token, min_size=width, max_size=width) | st.lists(token, max_size=5)
+    lines = st.lists(line, min_size=width, max_size=width) | st.lists(line, max_size=width + 1)
+    junk_header = st.lists(token, max_size=2).map(lambda words: ["order", *words])
+    header = st.just(["order", str(order)]) | junk_header
+    return st.tuples(header, lines).map(
+        lambda parts: "\n".join(" ".join(words) for words in [parts[0], *parts[1]]) + "\n"
+    )
+
+
+def run_on_file(argv, body):
+    """main(argv with {path} replaced by a file holding body): (code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "body.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(body)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([arg.format(path=path) for arg in argv])
+    return code, err.getvalue()
 
 
 def run(capsys, *argv):
@@ -96,6 +129,43 @@ class TestGroupCommand:
         assert code == EXIT_PARSE
         assert "error" in err
 
+    def test_table_file_errors_name_the_row(self, capsys, tmp_path):
+        path = tmp_path / "table.txt"
+        for body, expected in (
+            ("order 2\n0 1\n1 x\n", "table row 1, column 1: expected an integer, got 'x'"),
+            ("order x\n0\n", "table file header 'order N': expected an integer, got 'x'"),
+        ):
+            path.write_text(body)
+            code, _, err = run(capsys, "group", f"table:{path}", "--n", "2")
+            assert code == EXIT_PARSE
+            assert expected in err and "Traceback" not in err
+
+    def test_altered_table_is_rejected(self, capsys, tmp_path):
+        # the order-338 bicrossed product of h2n2_pair(13) with entry
+        # (155, 216) moved by 260: the former 100k-triple sampled
+        # associativity check accepted it and printed nu_2 = 14
+        grp = bicrossed_product(h2n2_pair(13), check=False)
+        n = grp.order
+        rows = [[grp.mul(g, h) for h in range(n)] for g in range(n)]
+        rows[155][216] = (rows[155][216] + 260) % n
+        path = tmp_path / "altered.txt"
+        path.write_text(f"order {n}\n" + "\n".join(" ".join(map(str, row)) for row in rows))
+        code, out, err = run(capsys, "group", f"table:{path}", "--n", "2")
+        assert code == EXIT_PARSE
+        assert "not associative" in err and out == ""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: _body(n, n)))
+    @example("order 1\n0\n")
+    @example("order 2\n0 1\n1 0\n")
+    @example("order 3\n0 1 2\n1 2 0\n2 0 1\n")
+    @example("order 2\n0 1\n1 1\n")
+    @example("order 3\n0 1 2\n1 0 1\n2 0 0\n")
+    def test_table_file_fuzz_exits_cleanly(self, body):
+        code, err = run_on_file(["group", "table:{path}", "--n", "1,2", "--stable"], body)
+        assert code in (EXIT_OK, EXIT_PARSE), (body, code, err)
+        assert "Traceback" not in err
+
 
 class TestGtCommand:
     def test_brute_psi(self, capsys):
@@ -138,6 +208,28 @@ class TestGtCommand:
         )
         assert code == EXIT_PARSE
         assert "must start with 'order M'" in err
+
+    def test_cocycle_file_error_names_the_line(self, capsys, tmp_path):
+        path = tmp_path / "cocycle.txt"
+        path.write_text("order 3\n1 1 a 1\n")
+        code, _, err = run(
+            capsys, "gt", "--group", "cyclic:3", "--cocycle", f"file:{path}", "--n", "3"
+        )
+        assert code == EXIT_PARSE
+        assert "cocycle file line 2, field k: expected an integer, got 'a'" in err
+        assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(_body(3, 4))
+    @example("order 3\n1 1 1 1\n")
+    @example("order 3\n0 0 0 2\n")
+    def test_cocycle_file_fuzz_exits_cleanly(self, body):
+        code, err = run_on_file(
+            ["gt", "--group", "cyclic:3", "--cocycle", "file:{path}", "--n", "3", "--stable"],
+            body,
+        )
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_COCYCLE), (body, code, err)
+        assert "Traceback" not in err
 
     def test_malformed_psi_power_is_parse_error(self, capsys):
         code, _, err = run(

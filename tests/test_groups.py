@@ -37,6 +37,51 @@ def quaternion_table():
     return [[mul(g, h) for h in range(8)] for g in range(8)]
 
 
+def group_table(grp):
+    return [[grp.mul(g, h) for h in range(grp.order)] for g in range(grp.order)]
+
+
+def is_group_table(rows):
+    """The cubic oracle: 0 is a two-sided identity, every triple associates
+    and every element has a two-sided inverse."""
+    r = range(len(rows))
+    if any(rows[0][g] != g or rows[g][0] != g for g in r):
+        return False
+    if any(rows[rows[a][b]][c] != rows[a][rows[b][c]] for a in r for b in r for c in r):
+        return False
+    return all(any(rows[g][h] == 0 == rows[h][g] for h in r) for g in r)
+
+
+# group tables of order at most 32, and each with one entry moved
+_Q8_ROWS = quaternion_table()
+_Q8 = FiniteGroup(8, lambda g, h: _Q8_ROWS[g][h], label="Q8")
+GROUP_TABLES = [_Q8_ROWS] + [group_table(make_dihedral(2 * k)) for k in range(2, 17)] + [
+    group_table(grp)
+    for grp in (
+        direct_product(_Q8, make_cyclic(2)),
+        direct_product(_Q8, make_cyclic(4)),
+        direct_product(make_cyclic(2), make_cyclic(2)),
+        direct_product(make_cyclic(2), direct_product(make_cyclic(2), make_cyclic(2))),
+        direct_product(make_cyclic(3), make_dihedral(6)),
+        direct_product(make_dihedral(8), make_cyclic(4)),
+        direct_product(make_cyclic(5), make_cyclic(6)),
+    )
+]
+
+
+def _altered(rows):
+    n = len(rows)
+
+    def alter(entry):
+        g, h, shift = entry
+        out = [row[:] for row in rows]
+        out[g][h] = (out[g][h] + shift) % n
+        return out
+
+    moved = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, n - 1))
+    return st.just(rows) | moved.map(alter)
+
+
 @pytest.fixture
 def q8():
     rows = quaternion_table()
@@ -75,6 +120,20 @@ class TestConstructors:
     def test_axiom_check_rejects_bad_table(self):
         with pytest.raises(ValueError):
             FiniteGroup(3, lambda g, h: (g + 2 * h) % 3)
+        # an associative monoid with identity 0 and no inverses
+        with pytest.raises(ValueError, match="has no inverse"):
+            FiniteGroup(4, max)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(GROUP_TABLES).flatmap(_altered))
+    def test_axiom_check_matches_cubic_oracle(self, rows):
+        try:
+            FiniteGroup(len(rows), lambda g, h: rows[g][h], check=True)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == is_group_table(rows)
 
 
 class TestElementQueries:

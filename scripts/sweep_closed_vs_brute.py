@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Sweep every built-in family over its default grid (FAMILIES in
-fsind.extensions), comparing closed-form indicators against brute-force
-evaluation, and print a per-family summary table.
+fsind.extensions), comparing three engines for each indicator: the closed
+form, the order-profile engine (nu_brute) and the term-by-term sum
+(nu_literal).  Print a per-family summary table; a disagreement names the
+engine that differs from the other two.
 
 Usage:
     python scripts/sweep_closed_vs_brute.py
@@ -15,7 +17,19 @@ import time
 
 from fsind.cyclotomic import divisors
 from fsind.extensions import FAMILIES
-from fsind.indicators import nu_brute
+from fsind.indicators import nu_brute, nu_literal
+
+ENGINES = ("closed", "profile", "literal")
+
+
+def odd_one_out(values):
+    """The engine whose value differs from the other two, or 'all' when no
+    two agree."""
+    for i, name in enumerate(ENGINES):
+        rest = values[:i] + values[i + 1:]
+        if rest[0] == rest[1] != values[i]:
+            return name
+    return "all"
 
 
 def main():
@@ -30,11 +44,10 @@ def main():
             bad = []
             for n in n_values:
                 total += 1
-                want = fam.closed(*params, n)
-                got = nu_brute(cat, n)
-                if want != got:
+                values = (fam.closed(*params, n), nu_brute(cat, n), nu_literal(cat, n))
+                if not values[0] == values[1] == values[2]:
                     mismatches += 1
-                    bad.append((n, want.render_text(), got.render_text()))
+                    bad.append((n, odd_one_out(values), *(v.render_text() for v in values)))
             status = "ok" if not bad else f"MISMATCH {bad}"
             print(
                 f"{fam.spec(params):<22} order={cat.group.order:<4} "

@@ -28,7 +28,6 @@ from .cocycles import (
     ThreeCocycle,
     c_omega,
     cocycle_from_file,
-    cohomological_order_cyclic,
     conjugate_cocycle,
     omega_tilde,
     omega_tilde_root,
@@ -64,6 +63,7 @@ from .indicators import (
     nu_group_algebra,
     nu_h2n2_closed,
     nu_hn3_closed,
+    nu_literal,
     nu_product,
     nu_suzuki_cyclic_closed,
     nu_suzuki_noncyclic_closed,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .cyclotomic import CyclotomicInteger, RootOfUnity
@@ -39,6 +40,32 @@ class ThreeCocycle:
     def exponent(self, g, h, k):
         return self.exp_fn(g, h, k) % self.value_order
 
+    @cached_property
+    def order_profile(self):
+        """{(ord g, E_g, u_g): count}, from one pass over the group.
+
+        E_g = sum_{k=1}^{ord g} f(g, g^k, g) and u_g = f(g, 1, g), both mod
+        value_order, with f = exp_fn.  For n = q * ord g the exponent of
+        omega_tilde_n(g) is q * E_g - u_g: the product over k = 1..n-1 runs q
+        full periods of g^k less the k = n term.  This holds for any exponent
+        function, normalized or not, and costs sum_g ord g calls to exp_fn.
+        """
+        grp = self.group
+        m = self.value_order
+        f = self.exp_fn
+        mul = grp.mul
+        profile: dict[tuple[int, int, int], int] = {}
+        for g in range(grp.order):
+            acc = 0
+            gk = g
+            while gk:  # k = 1 .. ord g - 1
+                acc += f(g, gk, g)
+                gk = mul(gk, g)
+            u = f(g, 0, g)  # k = ord g, where g^k = 1
+            key = (grp.element_order(g), (acc + u) % m, u % m)
+            profile[key] = profile.get(key, 0) + 1
+        return profile
+
 
 @dataclass
 class VerificationReport:
@@ -66,12 +93,17 @@ def psi(n, r):
     """
     if n < 1:
         raise ValueError("cyclic order must be positive")
+    return ThreeCocycle(make_cyclic_cached(n), n * n, _psi_exp(n, r), label=f"psi_{n}^{r}")
+
+
+def _psi_exp(n, r):
+    """The exponent function of psi^r on Z_n, valued mod n^2."""
     nn = n * n
 
     def exp_fn(j, k, l):
         return (r * (j % n) * ((k % n) + (l % n) - ((k + l) % n))) % nn
 
-    return ThreeCocycle(make_cyclic_cached(n), nn, exp_fn, label=f"psi_{n}^{r}")
+    return exp_fn
 
 
 # psi() is often called repeatedly with the same n in sweeps; building the
@@ -99,7 +131,7 @@ def psi_on(group, r):
     for k in range(n):
         log[x] = k
         x = group.mul(x, gen)
-    base = psi(n, r).exp_fn
+    base = _psi_exp(n, r)
     return ThreeCocycle(
         group, n * n, lambda a, b, c: base(log[a], log[b], log[c]), label=f"psi_{n}^{r}"
     )
@@ -177,29 +209,18 @@ def omega_tilde(cocycle, n, g):
     return r.as_cyclotomic()
 
 
-def cohomological_order_cyclic(cocycle, g):
-    """Order of the class of the cocycle restricted to the cyclic group <g>.
-
-    Equal to the multiplicative order of omega_tilde_m(g) with m = ord(g):
-    on a cyclic group the class of any cocycle is a power of the standard
-    generator, and omega_tilde at a generator detects exactly that power.
-    """
-    m = cocycle.group.element_order(g)
-    r = omega_tilde_root(cocycle, m, g)
-    return r.multiplicative_order()
-
-
 def c_omega(cocycle):
-    """lcm of cohomological orders over all cyclic subgroups of the group."""
-    grp = cocycle.group
-    seen: set[frozenset] = set()
+    """lcm of cohomological orders over all cyclic subgroups of the group.
+
+    On <g> the class of any cocycle is a power of the standard generator,
+    and omega_tilde_{ord g}(g) detects exactly that power, so the order of
+    the class is the multiplicative order of omega_tilde_{ord g}(g), whose
+    exponent is E_g - u_g in the order profile.
+    """
+    m = cocycle.value_order
     out = 1
-    for g in range(grp.order):
-        sub = frozenset(grp.generated_subgroup([g]))
-        if sub in seen:
-            continue
-        seen.add(sub)
-        out = math.lcm(out, cohomological_order_cyclic(cocycle, g))
+    for _, e, u in cocycle.order_profile:
+        out = math.lcm(out, m // math.gcd(m, e - u))
     return out
 
 

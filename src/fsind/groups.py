@@ -26,7 +26,14 @@ class FiniteGroup:
             raise ValueError("group order must be positive")
         self.order = order
         self.label = label
-        self._table = [[mul(g, h) for h in range(order)] for g in range(order)]
+        # every entry equal to x is the one int object shared[x] (above 256 it
+        # would otherwise be an object of its own), and a product outside
+        # 0..order-1 is a KeyError, where a list index would wrap round
+        shared = {x: x for x in range(order)}
+        try:
+            self._table = [[shared[mul(g, h)] for h in range(order)] for g in range(order)]
+        except KeyError as exc:
+            raise ValueError(f"a product {exc.args[0]!r} is out of range 0..{order - 1}") from None
         # inverses come first: once every element has a right inverse, the
         # generators Light's test accepts generate a subgroup, so the check
         # picks at most log2(order) of them

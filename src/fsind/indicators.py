@@ -6,9 +6,12 @@ The n-th indicator of a pair (Gamma, omega) is
 
     nu_n = sum over g with g^n = 1 of prod_{k=1}^{n-1} omega(g, g^k, g),
 
-an exact cyclotomic integer.  The brute-force engine accumulates integer
-exponent counts per root order and builds a single exact value at the end, so
-the hot loop stays in machine arithmetic.
+an exact cyclotomic integer.  The brute-force engine reads every nu_n from
+the cocycle's order profile (one pass over the group, cached on the cocycle):
+an element g of order o | n contributes zeta_M^((n/o) * E_g - u_g).  It
+accumulates integer exponent counts and builds a single exact value at the
+end, so the hot loop stays in machine arithmetic.  `nu_literal` evaluates the
+sum term by term and is kept as the oracle for it.
 """
 
 from __future__ import annotations
@@ -41,6 +44,20 @@ def b_p(p, n):
 
 
 def nu_brute(cat, n):
+    """The exact n-th indicator of a GTCategory, read from the order profile
+    of its cocycle."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    m = cat.omega.value_order
+    counts: dict[int, int] = {}
+    for (o, e, u), count in cat.omega.order_profile.items():
+        if n % o == 0:
+            acc = (n // o * e - u) % m
+            counts[acc] = counts.get(acc, 0) + count
+    return CyclotomicInteger(m, counts)
+
+
+def nu_literal(cat, n):
     """The exact n-th indicator of a GTCategory by direct summation."""
     if n < 1:
         raise ValueError("n must be positive")

@@ -62,6 +62,42 @@ def _body(order, width):
     )
 
 
+# pair-file bodies for the fuzz test: F and G lines naming groups of order at
+# most 4 (or junk), then action sections of |G| rows of |F| tokens drawn like
+# the table tokens above; or free lines mixing all of these.  Every bicrossed
+# product that gets built has order 16 or below.
+_PAIR_GROUPS = {"cyclic:1": 1, "cyclic:2": 2, "cyclic:3": 3, "dihedral:4": 4}
+_PAIR_GROUP = st.sampled_from([*_PAIR_GROUPS, "cyclic:0", "cyclic:x", "junk"])
+
+
+def _pair_section(name, rows, width, bound):
+    valid = st.sampled_from([str(v) for v in range(bound)])
+    token = st.one_of(valid, valid, valid, _JUNK)
+    row = st.lists(token, min_size=width, max_size=width).map(" ".join)
+    return st.lists(row, min_size=rows, max_size=rows).map(lambda body: [name, *body])
+
+
+def _pair_sections(f_spec, g_spec):
+    nf, ng = _PAIR_GROUPS[f_spec], _PAIR_GROUPS[g_spec]
+    left = st.just([]) | _pair_section("act_left", ng, nf, nf)
+    right = st.just([]) | _pair_section("act_right", ng, nf, ng)
+    return st.tuples(left, right).map(
+        lambda parts: [f"F {f_spec}", f"G {g_spec}", *parts[0], *parts[1]]
+    )
+
+
+_PAIR_LINE = st.one_of(
+    st.tuples(st.sampled_from(["F", "G", "H", "act_left"]), _PAIR_GROUP).map(" ".join),
+    st.sampled_from(["act_left", "act_right", "act_right 1"]),
+    st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "x"]), max_size=5).map(" ".join),
+)
+PAIR_BODIES = st.one_of(
+    st.tuples(st.sampled_from(list(_PAIR_GROUPS)), st.sampled_from(list(_PAIR_GROUPS)))
+    .flatmap(lambda specs: _pair_sections(*specs)),
+    st.lists(_PAIR_LINE, max_size=8),
+).map(lambda lines: "\n".join(lines) + "\n")
+
+
 def run_on_file(argv, body):
     """main(argv with {path} replaced by a file holding body): (code, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -293,6 +329,16 @@ class TestFamilyCommand:
         code, _, err = run(capsys, "family", f"bismash:{path}", "--n", "1")
         assert code == EXIT_PARSE
         assert "act_right row 1" in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(PAIR_BODIES)
+    @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n0 2 1\n")
+    @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n1 2 0\n")
+    @example("F cyclic:2\nG cyclic:3\nact_right\n0 0\n1 2\n2 1\n")
+    def test_pair_file_fuzz_exits_cleanly(self, body):
+        code, err = run_on_file(["family", "bismash:{path}", "--n", "1,2", "--stable"], body)
+        assert code in (EXIT_OK, EXIT_PARSE), (body, code, err)
+        assert "Traceback" not in err
 
     @settings(max_examples=300, deadline=None)
     @given(FAMILY_SPECS)

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import pytest
 
+from fsind import cocycles
 from fsind.cyclotomic import CyclotomicInteger, divisors, gauss_sum_closed, root
 from fsind.cocycles import (
     ThreeCocycle,
     c_omega,
     cocycle_from_file,
-    cohomological_order_cyclic,
     conjugate_cocycle,
     omega_tilde,
     omega_tilde_root,
@@ -22,7 +23,7 @@ from fsind.cocycles import (
     trivial_cocycle,
     verify_cocycle,
 )
-from fsind.groups import make_cyclic, make_dihedral
+from fsind.groups import FiniteGroup, make_cyclic, make_dihedral, parse_group_spec
 from fsind.extensions import parse_family_spec, split_family_spec
 
 
@@ -50,6 +51,31 @@ class TestPsi:
         assert w.exponent(1, 3, 3) == 1 * (3 + 3 - 2)
         assert w.exponent(2, 2, 2) == 2 * (2 + 2 - 0)
         assert w.exponent(0, 3, 3) == 0
+        # the same exponents on every triple, through psi or the psi:r spec
+        for big_n, r in ((6, 1), (8, 3), (9, 2)):
+            nn = big_n * big_n
+            for w in (psi(big_n, r), parse_cocycle_spec(f"psi:{r}", make_cyclic(big_n))):
+                assert w.value_order == nn
+                for j, k, l in product(range(big_n), repeat=3):
+                    want = r * j * (k + l - (k + l) % big_n) % nn
+                    assert w.exponent(j, k, l) == want, (big_n, r, j, k, l)
+
+    def test_psi_spec_builds_no_second_group(self, monkeypatch):
+        # psi:r on a group already built tabulates no other group
+        monkeypatch.setattr(cocycles, "_cyclic_cache", {})
+        built = []
+        init = FiniteGroup.__init__
+
+        def counting_init(self, order, *args, **kwargs):
+            built.append(order)
+            init(self, order, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+        for spec in ("cyclic:400", "product:cyclic:2,cyclic:3"):
+            grp = parse_group_spec(spec)
+            built.clear()
+            parse_cocycle_spec("psi:1", grp)
+            assert built == [], spec
 
     def test_verified_for_all_small_parameters(self):
         for n in range(1, 9):
@@ -162,7 +188,7 @@ class TestCohomologicalOrder:
             for r in range(big_n):
                 w = psi(big_n, r)
                 expected = big_n // math.gcd(big_n, r) if r else 1
-                assert cohomological_order_cyclic(w, 1) == expected
+                assert omega_tilde_root(w, big_n, 1).multiplicative_order() == expected
                 assert c_omega(w) == expected
 
     def test_trivial(self):

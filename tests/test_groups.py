@@ -124,6 +124,20 @@ class TestConstructors:
         with pytest.raises(ValueError, match="has no inverse"):
             FiniteGroup(4, max)
 
+    def test_out_of_range_products_are_rejected(self):
+        # a negative entry must not wrap round to a valid index, with or
+        # without the axiom check
+        for check in (True, False):
+            with pytest.raises(ValueError, match=r"product -1 is out of range 0\.\.2"):
+                FiniteGroup(3, lambda g, h: -1 if (g, h) == (1, 2) else (g + h) % 3, check=check)
+            with pytest.raises(ValueError, match=r"product 3 is out of range 0\.\.2"):
+                FiniteGroup(3, lambda g, h: 3 if (g, h) == (2, 0) else (g + h) % 3, check=check)
+
+    def test_table_entries_are_shared(self):
+        # every entry equal to x is the same int object, above 256 too
+        grp = make_cyclic(600)
+        assert grp.mul(299, 1) is grp.mul(1, 299) is grp.mul(599, 301)
+
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(GROUP_TABLES).flatmap(_altered))
     def test_axiom_check_matches_cubic_oracle(self, rows):

@@ -4,8 +4,12 @@ and the Frobenius divisibility analyzer."""
 from __future__ import annotations
 
 import math
+import os
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsind.cyclotomic import (
     CyclotomicInteger,
@@ -14,10 +18,12 @@ from fsind.cyclotomic import (
     root,
     sqrt_int,
 )
-from fsind.groups import make_cyclic, make_dihedral, direct_product
+from fsind.groups import direct_product, group_from_table_file, make_cyclic, make_dihedral
 from fsind.cocycles import (
+    ThreeCocycle,
     c_omega,
     conjugate_cocycle,
+    omega_tilde_root,
     product_cocycle,
     psi,
     trivial_cocycle,
@@ -32,6 +38,7 @@ from fsind.indicators import (
     nu_group_algebra,
     nu_h2n2_closed,
     nu_hn3_closed,
+    nu_literal,
     nu_product,
     nu_suzuki_cyclic_closed,
     nu_suzuki_noncyclic_closed,
@@ -41,6 +48,72 @@ from fsind.indicators import (
 def cyclic_cat(n, r):
     w = psi(n, r)
     return GTCategory(w.group, w, label=f"(Z{n},psi^{r})")
+
+
+# groups for the engine test: cyclic, dihedral, direct products and the
+# quaternion table, all of order 16 or less so that an exponent table has at
+# most 4096 entries
+ENGINE_GROUPS = [
+    *(make_cyclic(n) for n in (1, 2, 3, 4, 5, 6, 8, 9, 12, 16)),
+    *(make_dihedral(m) for m in (4, 6, 8, 10, 12, 16)),
+    *(
+        direct_product(a, b)
+        for a, b in (
+            (make_cyclic(2), make_cyclic(2)),
+            (make_cyclic(2), direct_product(make_cyclic(2), make_cyclic(2))),
+            (make_cyclic(2), make_cyclic(6)),
+            (make_cyclic(4), make_cyclic(4)),
+            (make_cyclic(3), make_dihedral(4)),
+            (make_dihedral(4), make_cyclic(2)),
+        )
+    ),
+    group_from_table_file(os.path.join(os.path.dirname(__file__), "..", "data", "q8.txt")),
+]
+
+
+def c_literal(w):
+    """c(omega) as the lcm over every g of the order of omega_tilde_{ord g}(g)."""
+    grp = w.group
+    return math.lcm(
+        *(omega_tilde_root(w, grp.element_order(g), g).multiplicative_order()
+          for g in range(grp.order))
+    )
+
+
+class TestEngines:
+    """nu_brute reads the order profile; nu_literal sums term by term."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(ENGINE_GROUPS),
+        st.integers(1, 12),
+        st.sampled_from([0.05, 0.5, 1.0]),
+        st.integers(0, 2**32),
+    )
+    def test_profile_matches_literal_sum(self, grp, m, density, seed):
+        # an arbitrary exponent table, neither a cocycle nor normalized: the
+        # profile keeps f(g, 1, g) apart, so the engines agree for any f
+        rng = random.Random(seed)
+        size = grp.order
+        table = [
+            rng.randrange(-m, 2 * m) if rng.random() < density else 0
+            for _ in range(size ** 3)
+        ]
+        w = ThreeCocycle(grp, m, lambda g, h, k: table[(g * size + h) * size + k])
+        cat = GTCategory(grp, w)
+        for n in range(1, 2 * grp.exponent() + 2):
+            assert nu_brute(cat, n) == nu_literal(cat, n), (grp, m, n)
+        assert c_omega(w) == c_literal(w)
+
+    def test_c_omega_on_family_grids(self):
+        for fam in FAMILIES.values():
+            for params in fam.grid:
+                w = fam.build(*params).omega
+                assert c_omega(w) == c_literal(w), fam.spec(params)
+
+    def test_order_profile_of_trivial_cocycle(self):
+        w = trivial_cocycle(make_cyclic(6))
+        assert w.order_profile == {(1, 0, 0): 1, (2, 0, 0): 1, (3, 0, 0): 2, (6, 0, 0): 2}
 
 
 class TestBruteForce:

@@ -141,7 +141,7 @@ def cmd_gt(args):
     grp = parse_group_spec(args.group)
     cocycle = parse_cocycle_spec(args.cocycle, grp)
     if args.verify:
-        report = verify_cocycle(cocycle, mode="full" if args.full_verify else "auto")
+        report = verify_cocycle(cocycle)
         if not report.ok:
             raise CocycleError(str(report))
     cat = GTCategory(grp, cocycle, label=f"({grp.label},{cocycle.label})")
@@ -366,7 +366,6 @@ def build_parser():
     p.add_argument("--cocycle", required=True)
     p.add_argument("--n", required=True)
     p.add_argument("--verify", action="store_true", help="verify the cocycle first")
-    p.add_argument("--full-verify", action="store_true", help="force a full check")
     common(p)
     p.set_defaults(func=cmd_gt)
 

@@ -116,7 +116,7 @@ class GTCategory:
     label: str = "C"
 
 
-def omega_from_extension(data, verify="auto", label=None):
+def omega_from_extension(data, verify=True, label=None):
     """Induce the 3-cocycle on the bicrossed product from (sigma, tau)."""
     pair = data.pair
     grp = bicrossed_product(pair)
@@ -134,7 +134,7 @@ def omega_from_extension(data, verify="auto", label=None):
 
     omega = ThreeCocycle(grp, data.value_order, exp_fn, label=f"omega[{data.label}]")
     if verify:
-        report = verify_cocycle(omega, mode="auto" if verify == "auto" else verify)
+        report = verify_cocycle(omega)
         if not report.ok:
             raise CocycleError(f"inconsistent extension data: {report}")
     return GTCategory(grp, omega, label=label or data.label)

@@ -19,7 +19,7 @@ class SpecError(ValueError):
 class FiniteGroup:
     """A finite group on element indices 0..order-1 with identity 0."""
 
-    __slots__ = ("order", "label", "_table", "_inv", "_orders")
+    __slots__ = ("order", "label", "_table", "_inv", "_orders", "_gens")
 
     def __init__(self, order, mul, label="G", check=True):
         if order < 1:
@@ -34,9 +34,7 @@ class FiniteGroup:
             self._table = [[shared[mul(g, h)] for h in range(order)] for g in range(order)]
         except KeyError as exc:
             raise ValueError(f"a product {exc.args[0]!r} is out of range 0..{order - 1}") from None
-        # inverses come first: once every element has a right inverse, the
-        # generators Light's test accepts generate a subgroup, so the check
-        # picks at most log2(order) of them
+        self._gens = None
         self._inv = self._build_inverses()
         if check:
             self._check_axioms()
@@ -63,25 +61,38 @@ class FiniteGroup:
                 raise ValueError(f"element {g} has no inverse") from None
         return inv
 
+    def generators(self):
+        """An irredundant generating set, computed once: the greedy one (each
+        element the earlier ones do not generate) less every element the
+        others generate.  In a group it has at most log2(order) elements."""
+        if self._gens is None:
+            gens, covered = [], {0}
+            for s in range(self.order):
+                if s not in covered:
+                    gens.append(s)
+                    covered = set(self.generated_subgroup(gens))
+            for s in list(gens):
+                rest = [t for t in gens if t != s]
+                if len(self.generated_subgroup(rest)) == self.order:
+                    gens = rest
+            self._gens = tuple(gens)
+        return self._gens
+
     def _check_axioms(self):
         """Identity, then Light's associativity test (Clifford & Preston,
         The Algebraic Theory of Semigroups I, section 1.2).
 
         The elements s with (x*s)*y == x*(s*y) for all x, y are closed under
-        multiplication, so testing a generating set tests every triple.  Each
-        generator is the first element the earlier ones do not generate, and
-        costs one row comparison per x.
+        multiplication in any table with a two-sided identity, group or not,
+        and every element is a product of `generators()`, so testing those
+        tests every triple.  Each costs one row comparison per x.
         """
         table = self._table
         n = self.order
         for g in range(n):
             if table[g][0] != g or table[0][g] != g:
                 raise ValueError(f"element 0 is not a two-sided identity at {g}")
-        gens = []
-        covered = {0}
-        for s in range(n):
-            if s in covered:
-                continue
+        for s in self.generators():
             get = itemgetter(*table[s])
             for x, row in enumerate(table):
                 right = get(row)  # x*(s*y) for every y
@@ -89,8 +100,6 @@ class FiniteGroup:
                 if list(right) != left:
                     y = next(y for y in range(n) if left[y] != right[y])
                     raise ValueError(f"multiplication is not associative at {(x, s, y)}")
-            gens.append(s)
-            covered = set(self.generated_subgroup(gens))
 
     # -- element queries ----------------------------------------------------
 

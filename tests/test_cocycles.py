@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsind import cocycles
 from fsind.cyclotomic import CyclotomicInteger, divisors, gauss_sum_closed, root
 from fsind.cocycles import (
+    CocycleError,
     ThreeCocycle,
     c_omega,
     cocycle_from_file,
@@ -19,12 +23,19 @@ from fsind.cocycles import (
     parse_cocycle_spec,
     product_cocycle,
     psi,
+    psi_on,
     restrict,
     trivial_cocycle,
     verify_cocycle,
 )
-from fsind.groups import FiniteGroup, make_cyclic, make_dihedral, parse_group_spec
-from fsind.extensions import parse_family_spec, split_family_spec
+from fsind.groups import (
+    FiniteGroup,
+    group_from_table_file,
+    make_cyclic,
+    make_dihedral,
+    parse_group_spec,
+)
+from fsind.extensions import FAMILIES, parse_family_spec, split_family_spec
 
 
 def family_cocycles_upto(order_bound):
@@ -41,6 +52,60 @@ def family_cocycles_upto(order_bound):
         if cat.group.order <= order_bound:
             out.append((spec, cat))
     return out
+
+
+def coboundary(w, g, h, k, l):
+    """(delta omega)(g, h, k, l) as an exponent, not reduced."""
+    f, mul = w.exp_fn, w.group.mul
+    return f(h, k, l) - f(mul(g, h), k, l) + f(g, mul(h, k), l) - f(g, h, mul(k, l)) + f(g, h, k)
+
+
+def assert_checks_agree(w, label):
+    """The generator check gives the full check's verdict, and a violation it
+    reports is one."""
+    report = verify_cocycle(w)
+    assert report.ok == verify_cocycle(w, mode="full").ok, (label, str(report))
+    if report.failure and report.failure[0] == "cocycle identity":
+        s, h, k, l = report.failure[1]
+        assert s in w.group.generators()
+        assert coboundary(w, s, h, k, l) % w.value_order, (label, str(report))
+
+
+def _shifted(w, pos, d):
+    """w with the value at pos times exp(2*pi*i*d/M), 0 < d < M; a cocycle
+    with value order 1 is first written with M = 2."""
+    m = max(w.value_order, 2)
+    scale = m // w.value_order
+    f = w.exp_fn
+    return ThreeCocycle(
+        w.group, m, lambda g, h, k: scale * f(g, h, k) + (d if (g, h, k) == pos else 0),
+        label=f"{w.label}+{d}@{pos}",
+    )
+
+
+def _oracle_cocycles():
+    """(label, cocycle) pairs on small groups for the generator-check oracle."""
+    z2, z4 = make_cyclic(2), make_cyclic(4)
+    q8 = group_from_table_file(os.path.join(os.path.dirname(__file__), "..", "data", "q8.txt"))
+    out = [(f"psi({n},{r})", psi_on(make_cyclic(n), r)) for n in range(1, 13) for r in range(n)]
+    groups = [
+        make_dihedral(8), make_dihedral(12), parse_group_spec("product:cyclic:2,cyclic:4"), q8
+    ]
+    out += [(f"trivial on {grp.label}", trivial_cocycle(grp)) for grp in groups]
+    out += [
+        (f"psi(2,{a}) x psi(4,{b})", product_cocycle(psi_on(z2, a), psi_on(z4, b)))
+        for a in range(2) for b in range(4)
+    ]
+    for fam in FAMILIES.values():
+        for params in fam.grid:
+            cat = fam.build(*params)
+            if cat.group.order <= 24:
+                spec = fam.spec(params)
+                out += [(spec, cat.omega), (f"trivial on {spec}", trivial_cocycle(cat.group))]
+    return out
+
+
+ORACLE_COCYCLES = _oracle_cocycles()
 
 
 class TestPsi:
@@ -110,16 +175,48 @@ class TestVerification:
 
     def test_non_normalized_fails(self):
         grp = make_cyclic(3)
-        report = verify_cocycle(ThreeCocycle(grp, 3, lambda g, h, k: 1), mode="full")
-        assert not report.ok and report.failure[0] == "normalization"
+        for mode in ("auto", "full"):
+            report = verify_cocycle(ThreeCocycle(grp, 3, lambda g, h, k: 1), mode=mode)
+            assert not report.ok and report.failure[0] == "normalization"
 
-    def test_sampled_mode(self):
-        report = verify_cocycle(psi(12, 5), mode="sampled", samples=5000)
-        assert report.ok and report.checked == 5000
+    def test_generator_check_on_psi(self):
+        # Z_12 has one generator, so the check covers 12^3 quadruples
+        report = verify_cocycle(psi(12, 5))
+        assert report.ok and report.checked == 12**3
+
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="sampled"):
+            verify_cocycle(psi(4, 1), mode="sampled")
 
     def test_families_are_cocycles(self):
         for spec, cat in family_cocycles_upto(60):
             assert verify_cocycle(cat.omega, mode="full").ok, spec
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_generator_check_matches_full_check(self, data):
+        label, w = data.draw(st.sampled_from(ORACLE_COCYCLES))
+        n = w.group.order
+        if n > 1 and data.draw(st.booleans()):
+            pos = data.draw(st.tuples(*[st.integers(1, n - 1)] * 3))
+            w = _shifted(w, pos, data.draw(st.integers(1, max(w.value_order, 2) - 1)))
+        assert_checks_agree(w, label)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 3), st.integers(2, 6), st.data())
+    def test_generator_check_matches_full_check_on_pullbacks(self, na, nb, m, data):
+        # a normalized cochain on Z_na pulled back to Z_na x Z_nb: D vanishes
+        # at the generator (0, 1), so only (1, 0) can expose a non-cocycle
+        size = (na - 1) ** 3
+        values = data.draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size))
+
+        def exp_fn(g, h, k):
+            return values[((g - 1) * (na - 1) + h - 1) * (na - 1) + k - 1] if g and h and k else 0
+
+        base = ThreeCocycle(make_cyclic(na), m, exp_fn)
+        w = product_cocycle(base, trivial_cocycle(make_cyclic(nb)))
+        assert w.group.generators() == (1, nb)
+        assert_checks_agree(w, (na, nb, m, values))
 
 
 class TestOmegaTilde:
@@ -286,6 +383,13 @@ class TestFilesAndSpecs:
         path.write_text("order 4\n1 1 1 1\n")
         with pytest.raises(ValueError):
             cocycle_from_file(make_cyclic(3), path)
+
+    def test_file_rejects_one_altered_value_on_z100(self, tmp_path):
+        # the former sampled check, above order 40, accepted this file
+        path = tmp_path / "one-entry.txt"
+        path.write_text("order 2\n1 1 22 1\n")
+        with pytest.raises(CocycleError, match="cocycle identity"):
+            cocycle_from_file(make_cyclic(100), path)
 
     def test_parse_specs(self):
         z4 = make_cyclic(4)

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from fsind.groups import make_cyclic, make_dihedral
-from fsind.cocycles import verify_cocycle
+from fsind.cocycles import CocycleError, verify_cocycle
 from fsind.extensions import (
     ExtensionData,
     MatchedPair,
@@ -62,11 +62,8 @@ class TestMatchedPairs:
 
 
 def check_cocycle(omega, context):
-    """Full verification for small groups, randomized for larger ones."""
-    if omega.group.order <= 27:
-        report = verify_cocycle(omega, mode="full")
-    else:
-        report = verify_cocycle(omega, mode="sampled", samples=20_000)
+    """Exact verification over the group's generators, at every order."""
+    report = verify_cocycle(omega)
     assert report.ok, (context, str(report))
 
 
@@ -76,6 +73,18 @@ class TestH2N2Family:
             for xi_exp in range(n):
                 cat = omega_from_extension(family_h2n2(n, xi_exp), verify=False)
                 check_cocycle(cat.omega, (n, xi_exp))
+
+    def test_inconsistent_extension_data_is_rejected(self):
+        # sigma(g; x, y) at g = (1, 1) in Z_3 x Z_3 and x = y = 1 in Z_2, plus one
+        data = family_h2n2(3, 1)
+        sigma = data.sigma_exp
+        bumped = ExtensionData(
+            data.pair, data.value_order,
+            lambda g, x, y: sigma(g, x, y) + ((g, x, y) == (4, 1, 1)), data.tau_exp,
+        )
+        with pytest.raises(CocycleError, match="inconsistent extension data"):
+            omega_from_extension(bumped)
+        assert omega_from_extension(data).group.order == 18
 
     def test_pointwise_display_formula(self):
         # collapsed form: with xi = zeta_N^xi_exp the cocycle is

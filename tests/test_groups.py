@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from fsind.groups import (
     make_dihedral,
     parse_group_spec,
 )
+from fsind.extensions import parse_family_spec
 
 
 def quaternion_table():
@@ -206,6 +208,22 @@ class TestElementQueries:
             cent = d8.centralizer(g)
             assert 0 in cent and g in cent
             assert d8.order % len(cent) == 0
+
+    def test_generators_are_irredundant(self):
+        groups = [FiniteGroup(len(t), lambda g, h, t=t: t[g][h]) for t in GROUP_TABLES]
+        groups += [make_cyclic(n) for n in (1, 2, 12, 30)]
+        groups += [parse_family_spec(s).group for s in ("h2n2:12:1", "hn3:5:2:3", "suzukiP:2:3:1")]
+        for grp in groups:
+            gens = grp.generators()
+            assert len(grp.generated_subgroup(gens)) == grp.order, grp
+            for k in range(len(gens)):
+                for part in combinations(gens, k):
+                    assert len(grp.generated_subgroup(part)) < grp.order, (grp, gens, part)
+            assert 2 ** len(gens) <= grp.order, (grp, gens)
+        # the greedy sets are (1, 12, 144) and (1, 5, 25): 12 and 144 generate 1,
+        # and 1 and 25 generate 5
+        assert parse_family_spec("h2n2:12:1").group.generators() == (12, 144)
+        assert parse_family_spec("hn3:5:1:1").group.generators() == (1, 25)
 
     def test_generated_subgroup_and_subgroup(self):
         d8 = make_dihedral(8)

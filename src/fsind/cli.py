@@ -140,7 +140,7 @@ def cmd_group(args):
 def cmd_gt(args):
     grp = parse_group_spec(args.group)
     cocycle = parse_cocycle_spec(args.cocycle, grp)
-    if args.verify:
+    if args.verify and not args.cocycle.startswith("file:"):  # a file is verified on load
         report = verify_cocycle(cocycle)
         if not report.ok:
             raise CocycleError(str(report))

@@ -32,9 +32,6 @@ class ThreeCocycle:
     exp_fn: Callable[[int, int, int], int]
     label: str = "omega"
 
-    def value(self, g, h, k):
-        return RootOfUnity(self.value_order, self.exp_fn(g, h, k))
-
     def exponent(self, g, h, k):
         return self.exp_fn(g, h, k) % self.value_order
 
@@ -284,10 +281,11 @@ def conjugate_cocycle(cocycle):
 # file-backed cocycles
 
 
-def cocycle_from_file(group, path, verify=True):
-    """Load a cocycle from lines `g h k e` under a header `order M`.
+def cocycle_from_file(group, path):
+    """Load and verify a cocycle from lines `g h k e` under a header `order M`.
 
     The value at (g, h, k) is exp(2*pi*i*e/M); absent triples default to 1.
+    A file that is not a normalized 3-cocycle raises CocycleError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(i, ln.split()) for i, ln in enumerate(fh, 1) if ln.strip()]
@@ -313,10 +311,9 @@ def cocycle_from_file(group, path, verify=True):
     cocycle = ThreeCocycle(
         group, m, lambda g, h, k: table.get((g, h, k), 0), label="file"
     )
-    if verify:
-        report = verify_cocycle(cocycle)
-        if not report.ok:
-            raise CocycleError(str(report))
+    report = verify_cocycle(cocycle)
+    if not report.ok:
+        raise CocycleError(str(report))
     return cocycle
 
 

@@ -21,6 +21,7 @@ from .cocycles import CocycleError, ThreeCocycle, trivial_cocycle, verify_cocycl
 from .groups import (
     FiniteGroup,
     SpecError,
+    bicrossed_rows,
     direct_product,
     make_cyclic,
     make_dihedral,
@@ -66,19 +67,12 @@ def bicrossed_product(pair, label=None, check=True):
     Construction runs the exact group-axiom check, which is what validates
     the matched-pair compatibility conditions.
     """
-    ng = pair.G.order
-    f_mul = pair.F.mul
-    g_mul = pair.G.mul
-    act_l = pair.act_left
-    act_r = pair.act_right
-
-    def mul(p, q):
-        x, g = divmod(p, ng)
-        y, h = divmod(q, ng)
-        return f_mul(x, act_l(g, y)) * ng + g_mul(act_r(g, y), h)
-
+    nf, ng = pair.F.order, pair.G.order
+    left = [[pair.act_left(g, y) for y in range(nf)] for g in range(ng)]
+    right = [[pair.act_right(g, y) for y in range(nf)] for g in range(ng)]
+    rows = bicrossed_rows(pair.F, pair.G, left, right)
     name = label or f"({pair.F.label}|><|{pair.G.label})"
-    return FiniteGroup(pair.F.order * ng, mul, label=name, check=check)
+    return FiniteGroup(nf * ng, rows, label=name, check=check)
 
 
 def power_iteration(pair, x, g, n):
@@ -235,17 +229,15 @@ def _dihedral_bar(d, half):
 
 def suzuki_cyclic_group(n, l):
     """The order-4NL group <b, r, s | b^2N = r^L = s^2 = 1, srs = r^-1,
-    brb^-1 = r^-1, bsb^-1 = r^-1 s>, encoded as i*2L + (2j+k) for b^i r^j s^k."""
+    brb^-1 = r^-1, bsb^-1 = r^-1 s>, encoded as i*2L + (2j+k) for b^i r^j s^k.
+
+    It is Z_2N |><| D_2L with trivial left action and d <| i = bar^i(d)."""
     two_l = 2 * l
-    dih = make_dihedral(two_l)
-
-    def mul(p, q):
-        i1, d1 = divmod(p, two_l)
-        i2, d2 = divmod(q, two_l)
-        x1 = _dihedral_bar(d1, l) if i2 % 2 else d1
-        return ((i1 + i2) % (2 * n)) * two_l + dih.mul(x1, d2)
-
-    return FiniteGroup(4 * n * l, mul, label=f"Gamma_{n},{l}", check=True)
+    flip = [_dihedral_bar(d, l) for d in range(two_l)]
+    left = [range(2 * n)] * two_l
+    right = [[d, flip[d]] * n for d in range(two_l)]
+    rows = bicrossed_rows(make_cyclic(2 * n), make_dihedral(two_l), left, right)
+    return FiniteGroup(4 * n * l, rows, label=f"Gamma_{n},{l}", check=True)
 
 
 def family_suzuki_cyclic(n, l, alpha, beta, eta_exp=None):

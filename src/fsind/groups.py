@@ -3,13 +3,20 @@
 Elements of a group of order n are the integers 0..n-1, with 0 always the
 identity.  Every group is tabulated as n rows of n indices, which keeps the
 indicator loops at O(1) per product, and its axioms are checked exactly at
-every order.
+every order.  Every built-in group is a bicrossed product, and
+`bicrossed_rows` builds its rows from the rows of its two factors.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from operator import itemgetter
+
+# The largest order tabulated: n^2 entries cost about 8 bytes each, so a
+# group of this order takes about 134 MB.  Every built-in grid, script and
+# benchmark stays far below it (800 at most).
+MAX_ORDER = 4096
 
 
 class SpecError(ValueError):
@@ -22,23 +29,35 @@ class FiniteGroup:
     __slots__ = ("order", "label", "_table", "_inv", "_orders", "_gens")
 
     def __init__(self, order, mul, label="G", check=True):
+        """`mul` is the product as a callable mul(g, h), or the rows of the
+        table: an iterable of `order` lists of `order` indices, read once,
+        after the order cap (so a builder that yields rows makes none for a
+        rejected order).  The rows are kept as given, not copied."""
         if order < 1:
             raise ValueError("group order must be positive")
+        if order > MAX_ORDER:
+            raise SpecError(f"group order {order} exceeds the limit of {MAX_ORDER}")
         self.order = order
         self.label = label
-        # every entry equal to x is the one int object shared[x] (above 256 it
-        # would otherwise be an object of its own), and a product outside
-        # 0..order-1 is a KeyError, where a list index would wrap round
-        shared = {x: x for x in range(order)}
-        try:
-            self._table = [[shared[mul(g, h)] for h in range(order)] for g in range(order)]
-        except KeyError as exc:
-            raise ValueError(f"a product {exc.args[0]!r} is out of range 0..{order - 1}") from None
+        rows = mul
+        if callable(mul):
+            # every entry equal to x becomes one shared int object (above 256
+            # it would otherwise be an object of its own)
+            get = {x: x for x in range(order)}.get
+            rows = ([get(v, v) for v in map(mul, repeat(g), range(order))] for g in range(order))
+        self._table = table = list(rows)
+        if len(table) != order or set(map(len, table)) != {order}:
+            raise ValueError(f"a group of order {order} needs {order} rows of {order} entries")
+        for row in table:  # a negative entry would wrap round as a list index
+            low, high = min(row), max(row)
+            if low < 0 or high >= order:
+                bad = low if low < 0 else high
+                raise ValueError(f"a product {bad!r} is out of range 0..{order - 1}")
         self._gens = None
         self._inv = self._build_inverses()
         if check:
             self._check_axioms()
-        self._orders = [self._element_order(g) for g in range(order)]
+        self._orders = self._element_orders()
 
     # -- structure ----------------------------------------------------------
 
@@ -116,13 +135,26 @@ class FiniteGroup:
             k >>= 1
         return acc
 
-    def _element_order(self, g):
-        k = 1
-        x = g
-        while x != 0:
-            x = self.mul(x, g)
-            k += 1
-        return k
+    def _element_orders(self):
+        """Every element's order, from one walk per cyclic subgroup: if g has
+        order k, then g^j has order k / gcd(j, k)."""
+        n = self.order
+        orders = [0] * n
+        orders[0] = 1
+        for g, row in enumerate(self._table):
+            if orders[g]:
+                continue
+            powers = [g]  # g^1 .. g^k, with g^k = 1
+            x = g
+            while x:
+                x = row[x]
+                powers.append(x)
+                if len(powers) > n:
+                    raise ValueError(f"element {g} has no finite order")
+            k = len(powers)
+            for j, p in enumerate(powers, 1):
+                orders[p] = k // math.gcd(j, k)
+        return orders
 
     def element_order(self, g):
         return self._orders[g]
@@ -177,15 +209,12 @@ class FiniteGroup:
         if not elems or elems[0] != 0:
             raise ValueError("subgroup must contain the identity")
         pos = {g: i for i, g in enumerate(elems)}
-        for g in elems:
-            for h in elems:
-                if self.mul(g, h) not in pos:
-                    raise ValueError("element subset is not closed under multiplication")
+        table = self._table
+        rows = [[pos.get(table[g][h]) for h in elems] for g in elems]
+        if any(None in row for row in rows):
+            raise ValueError("element subset is not closed under multiplication")
         sub = FiniteGroup(
-            len(elems),
-            lambda i, j: pos[self.mul(elems[i], elems[j])],
-            label=label or f"{self.label}-sub{len(elems)}",
-            check=False,
+            len(elems), rows, label=label or f"{self.label}-sub{len(elems)}", check=False
         )
         return sub, elems
 
@@ -197,41 +226,60 @@ class FiniteGroup:
 # constructors
 
 
+def bicrossed_rows(f, g, left, right):
+    """The rows of the bicrossed product F |><| G on pairs (x, g) encoded as
+    x*|G| + g, with (x, g)(y, h) = (x (g |> y), (g <| y) h).
+
+    left[g][y] = g |> y (in F) and right[g][y] = g <| y (in G) are the action
+    tables.  Row (x, g) is |F| slices, each filled at C speed: slice y is G's
+    row g <| y read through block x' = x (g |> y) of one pool of ints, so no
+    Python code runs per entry and every entry equal to p is the one object
+    pool[p].  Rows are yielded one at a time, for FiniteGroup.
+    """
+    ng = g.order
+    n = f.order * ng
+    pool = list(range(n))
+    blocks = [pool[x * ng:(x + 1) * ng].__getitem__ for x in range(f.order)]
+    parts = [slice(y * ng, (y + 1) * ng) for y in range(f.order)]
+    g_rows = g._table
+    for f_row in f._table:
+        for lrow, rrow in zip(left, right):
+            row = [0] * n  # allocated at its length: list.extend would leave slack
+            for part, ly, ry in zip(parts, lrow, rrow):
+                row[part] = map(blocks[f_row[ly]], g_rows[ry])
+            yield row
+
+
 def make_cyclic(n):
     """The cyclic group Z_n (addition mod n)."""
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    return FiniteGroup(n, lambda a, b: (a + b) % n, label=f"Z{n}", check=False)
+
+    def rows():  # one shared row, rotated
+        base = list(range(n))
+        for g in range(n):
+            yield base[g:] + base[:g]
+
+    return FiniteGroup(n, rows(), label=f"Z{n}", check=False)
 
 
 def make_dihedral(two_l):
-    """The dihedral group of order two_l; element 2i+j encodes r^i s^j."""
+    """The dihedral group Z_half |x Z_2 of order two_l; element 2i+j encodes
+    r^i s^j, and s acts on r^i by inversion."""
     if two_l < 4 or two_l % 2:
         raise ValueError("dihedral order must be an even integer >= 4")
     half = two_l // 2
-
-    def mul(g, h):
-        i1, j1 = divmod(g, 2)
-        i2, j2 = divmod(h, 2)
-        # r^i1 s^j1 * r^i2 s^j2 = r^(i1 + (-1)^j1 i2) s^(j1+j2)
-        i = (i1 + (i2 if j1 == 0 else -i2)) % half
-        return 2 * i + (j1 + j2) % 2
-
-    return FiniteGroup(two_l, mul, label=f"D{two_l}", check=False)
+    left = [list(range(half)), [-y % half for y in range(half)]]
+    right = [[0] * half, [1] * half]
+    rows = bicrossed_rows(make_cyclic(half), make_cyclic(2), left, right)
+    return FiniteGroup(two_l, rows, label=f"D{two_l}", check=False)
 
 
 def direct_product(a, b):
-    """A x B with pair (x, y) encoded as x*|B| + y."""
-    nb = b.order
-
-    def mul(g, h):
-        x1, y1 = divmod(g, nb)
-        x2, y2 = divmod(h, nb)
-        return a.mul(x1, x2) * nb + b.mul(y1, y2)
-
-    return FiniteGroup(
-        a.order * b.order, mul, label=f"({a.label}x{b.label})", check=False
-    )
+    """A x B with pair (x, y) encoded as x*|B| + y: both actions trivial."""
+    na, nb = a.order, b.order
+    rows = bicrossed_rows(a, b, [range(na)] * nb, [[y] * na for y in range(nb)])
+    return FiniteGroup(na * nb, rows, label=f"({a.label}x{b.label})", check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +305,19 @@ def group_from_table_file(path):
     body = tokens[2:]
     if len(body) != n * n:
         raise SpecError(f"expected {n * n} table entries, found {len(body)}")
-    rows = [body[i * n:(i + 1) * n] for i in range(n)]
-    for i, row in enumerate(rows):
-        for j, token in enumerate(row):
-            v = row[j] = spec_int(
-                token, f"table row {i}, column {j}: expected an integer, got {token!r}"
-            )
-            if not 0 <= v < n:
-                raise SpecError(f"table row {i}, column {j}: entry {v} out of range 0..{n - 1}")
-    return FiniteGroup(n, lambda g, h: rows[g][h], label="table", check=True)
+
+    def rows():
+        pool = list(range(n))
+        for i in range(n):
+            row = body[i * n:(i + 1) * n]
+            for j, token in enumerate(row):
+                v = spec_int(token, f"table row {i}, column {j}: expected an integer, got {token!r}")
+                if not 0 <= v < n:
+                    raise SpecError(f"table row {i}, column {j}: entry {v} out of range 0..{n - 1}")
+                row[j] = pool[v]
+            yield row
+
+    return FiniteGroup(n, rows(), label="table", check=True)
 
 
 def parse_group_spec(spec):

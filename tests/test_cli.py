@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fsind import cli, cocycles
+from fsind.cocycles import verify_cocycle
 from fsind.extensions import FAMILIES, bicrossed_product, h2n2_pair
 from fsind.cli import (
     EXIT_COCYCLE,
@@ -165,6 +167,11 @@ class TestGroupCommand:
         assert code == EXIT_PARSE
         assert "error" in err
 
+    def test_order_above_the_cap_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "group", "cyclic:20000", "--n", "1")
+        assert code == EXIT_PARSE
+        assert "exceeds the limit" in err and "Traceback" not in err and out == ""
+
     def test_table_file_errors_name_the_row(self, capsys, tmp_path):
         path = tmp_path / "table.txt"
         for body, expected in (
@@ -230,6 +237,23 @@ class TestGtCommand:
         )
         assert code == EXIT_COCYCLE
         assert "cocycle identity" in err and out == ""
+
+    def test_verify_checks_a_file_cocycle_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(cocycle, *args, **kwargs):
+            calls.append(cocycle)
+            return verify_cocycle(cocycle, *args, **kwargs)
+
+        monkeypatch.setattr(cocycles, "verify_cocycle", counting)
+        monkeypatch.setattr(cli, "verify_cocycle", counting)
+        path = tmp_path / "trivial.txt"
+        path.write_text("order 2\n")
+        code, _, _ = run(
+            capsys, "gt", "--group", "cyclic:4", "--cocycle", f"file:{path}",
+            "--verify", "--n", "2",
+        )
+        assert code == EXIT_OK and len(calls) == 1
 
     def test_invalid_cocycle_spec(self, capsys):
         code, _, err = run(

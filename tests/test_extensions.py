@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fsind.groups import make_cyclic, make_dihedral
+from fsind.groups import FiniteGroup, make_cyclic, make_dihedral
 from fsind.cocycles import CocycleError, verify_cocycle
 from fsind.extensions import (
     ExtensionData,
     MatchedPair,
+    _dihedral_bar,
     bicrossed_product,
     family_bismash,
     family_h2n2,
@@ -59,6 +63,132 @@ class TestMatchedPairs:
                 for n in (1, 2, 3, 5, 8):
                     xn, gn = power_iteration(pair, x, g, n)
                     assert xn * ng + gn == grp.power(p, n), (pair, p, n)
+
+
+# the per-entry multiplication closures bicrossed_product and
+# suzuki_cyclic_group used before they were built from their factors' rows,
+# kept as the oracle
+
+
+def bicrossed_mul(pair):
+    ng = pair.G.order
+
+    def mul(p, q):
+        x, g = divmod(p, ng)
+        y, h = divmod(q, ng)
+        return pair.F.mul(x, pair.act_left(g, y)) * ng + pair.G.mul(pair.act_right(g, y), h)
+
+    return mul
+
+
+def suzuki_mul(n, l):
+    two_l = 2 * l
+    dih = make_dihedral(two_l)
+
+    def mul(p, q):
+        i1, d1 = divmod(p, two_l)
+        i2, d2 = divmod(q, two_l)
+        x1 = _dihedral_bar(d1, l) if i2 % 2 else d1
+        return ((i1 + i2) % (2 * n)) * two_l + dih.mul(x1, d2)
+
+    return mul
+
+
+def assert_matches_closure(grp, mul):
+    """grp's table equals the closure's entry for entry, and its element
+    orders equal those found by multiplying by g until the identity."""
+    n = grp.order
+    assert [[grp.mul(g, h) for h in range(n)] for g in range(n)] == [
+        [mul(g, h) for h in range(n)] for g in range(n)
+    ]
+    for g in range(n):
+        k, x = 1, g
+        while x != 0:
+            x = mul(x, g)
+            k += 1
+        assert grp.element_order(g) == k, (grp, g)
+
+
+def table_pair(f_group, g_group, left, right):
+    """A matched pair given by action tables left[g][y] and right[g][y]."""
+    return MatchedPair(f_group, g_group, lambda g, y: right[g][y], lambda g, y: left[g][y])
+
+
+@st.composite
+def semidirect_pairs(draw):
+    """Z_m |x Z_k with g |> y = u^g y, or Z_k |x< Z_m with g <| y = u^y g,
+    for a unit u of Z_m with u^k = 1."""
+    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    u = draw(st.sampled_from([u for u in range(m) if math.gcd(u, m) == 1 and pow(u, k, m) == 1 % m]))
+    zm, zk = make_cyclic(m), make_cyclic(k)
+    if draw(st.booleans()):
+        left = [[pow(u, g, m) * y % m for y in range(m)] for g in range(k)]
+        return table_pair(zm, zk, left, [[g] * m for g in range(k)])
+    right = [[pow(u, y, m) * g % m for y in range(k)] for g in range(m)]
+    return table_pair(zk, zm, [list(range(k))] * m, right)
+
+
+def symmetric_factorization(n):
+    """S_n = S_(n-1) Z_n: F fixes n-1, G is generated by the n-cycle c, and
+    g y = (g |> y)(g <| y) with both actions nontrivial for n >= 4."""
+    perms = list(permutations(range(n - 1)))  # the identity first
+    f_elems = [p + (n - 1,) for p in perms]
+    cycle = tuple((i + 1) % n for i in range(n))
+    g_elems = [tuple(range(n))]
+    for _ in range(n - 1):
+        g_elems.append(tuple(cycle[i] for i in g_elems[-1]))
+
+    def compose(p, q):
+        return tuple(p[i] for i in q)
+
+    def inverse(p):
+        return tuple(sorted(range(n), key=p.__getitem__))
+
+    f_index = {p: i for i, p in enumerate(f_elems)}
+    g_index = {p: i for i, p in enumerate(g_elems)}
+    left, right = [], []
+    for g in g_elems:
+        lrow, rrow = [], []
+        for y in f_elems:
+            gy = compose(g, y)  # = y' g' for exactly one c = g' with y' = gy c^-1 in F
+            for j, c in enumerate(g_elems):
+                rest = compose(gy, inverse(c))
+                if rest in f_index:
+                    lrow.append(f_index[rest])
+                    rrow.append(j)
+                    break
+        left.append(lrow)
+        right.append(rrow)
+    f_group = FiniteGroup(len(f_elems), lambda a, b: f_index[compose(f_elems[a], f_elems[b])])
+    g_group = FiniteGroup(n, lambda a, b: g_index[compose(g_elems[a], g_elems[b])])
+    return table_pair(f_group, g_group, left, right)
+
+
+class TestBuilders:
+    @pytest.mark.parametrize(
+        "pair",
+        [h2n2_pair(n) for n in (2, 3, 5)]
+        + [hn3_pair(n) for n in (3, 5)]
+        + [suzuki_noncyclic_pair(n, l) for n in (2, 4) for l in (2, 3)]
+        + [symmetric_factorization(n) for n in (3, 4)],
+    )
+    def test_bicrossed_product_matches_the_closure(self, pair):
+        assert_matches_closure(bicrossed_product(pair), bicrossed_mul(pair))
+
+    @settings(max_examples=60, deadline=None)
+    @given(semidirect_pairs())
+    def test_random_pairs_match_the_closure(self, pair):
+        assert_matches_closure(bicrossed_product(pair), bicrossed_mul(pair))
+
+    def test_suzuki_group_matches_the_closure(self):
+        for n in (1, 2, 3, 5):
+            for l in (2, 3, 4):
+                assert_matches_closure(suzuki_cyclic_group(n, l), suzuki_mul(n, l))
+
+    def test_both_actions_of_s4_are_nontrivial(self):
+        pair = symmetric_factorization(4)
+        assert any(pair.act_left(g, y) != y for g in range(4) for y in range(6))
+        assert any(pair.act_right(g, y) != g for g in range(4) for y in range(6))
 
 
 def check_cocycle(omega, context):

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsind.groups import (
+    MAX_ORDER,
     FiniteGroup,
+    SpecError,
     direct_product,
     group_from_table_file,
     make_cyclic,
@@ -84,6 +86,63 @@ def _altered(rows):
     return st.just(rows) | moved.map(alter)
 
 
+# the per-entry multiplication closures the constructors used before they
+# were built from their factors' rows, kept as the oracle
+
+
+def cyclic_mul(n):
+    return lambda a, b: (a + b) % n
+
+
+def dihedral_mul(two_l):
+    half = two_l // 2
+
+    def mul(g, h):
+        i1, j1 = divmod(g, 2)
+        i2, j2 = divmod(h, 2)
+        # r^i1 s^j1 * r^i2 s^j2 = r^(i1 + (-1)^j1 i2) s^(j1+j2)
+        i = (i1 + (i2 if j1 == 0 else -i2)) % half
+        return 2 * i + (j1 + j2) % 2
+
+    return mul
+
+
+def product_mul(a_mul, b_mul, nb):
+    def mul(g, h):
+        x1, y1 = divmod(g, nb)
+        x2, y2 = divmod(h, nb)
+        return a_mul(x1, x2) * nb + b_mul(y1, y2)
+
+    return mul
+
+
+def orders_by_walk(order, mul):
+    """ord g for every g, by multiplying by g until the identity comes back."""
+    out = []
+    for g in range(order):
+        k, x = 1, g
+        while x != 0:
+            x = mul(x, g)
+            k += 1
+        out.append(k)
+    return out
+
+
+# (group, order, closure) for Z_1..Z_12 and D_4..D_16 from make_cyclic and
+# make_dihedral, and for the direct_product of two of them
+_SIMPLE = st.one_of(
+    st.integers(1, 12).map(lambda n: (make_cyclic(n), n, cyclic_mul(n))),
+    st.integers(2, 8).map(lambda k: (make_dihedral(2 * k), 2 * k, dihedral_mul(2 * k))),
+)
+BUILT_GROUPS = _SIMPLE | st.tuples(_SIMPLE, _SIMPLE).map(
+    lambda ab: (
+        direct_product(ab[0][0], ab[1][0]),
+        ab[0][1] * ab[1][1],
+        product_mul(ab[0][2], ab[1][2], ab[1][1]),
+    )
+)
+
+
 @pytest.fixture
 def q8():
     rows = quaternion_table()
@@ -135,10 +194,47 @@ class TestConstructors:
             with pytest.raises(ValueError, match=r"product 3 is out of range 0\.\.2"):
                 FiniteGroup(3, lambda g, h: 3 if (g, h) == (2, 0) else (g + h) % 3, check=check)
 
-    def test_table_entries_are_shared(self):
+    def test_out_of_range_rows_are_rejected(self):
+        for check in (True, False):
+            with pytest.raises(ValueError, match=r"product -1 is out of range 0\.\.2"):
+                FiniteGroup(3, [[0, 1, 2], [1, 2, -1], [2, 0, 1]], check=check)
+            with pytest.raises(ValueError, match=r"product 3 is out of range 0\.\.2"):
+                FiniteGroup(3, [[0, 1, 2], [1, 2, 0], [3, 0, 1]], check=check)
+
+    def test_ragged_or_short_rows_are_rejected(self):
+        for rows in (
+            [[0, 1], [1]],  # a short row
+            [[0, 1, 2], [1, 2, 0]],  # a missing row
+            [[0, 1], [1, 0], [0, 1]],  # a row too many
+            [[0, 1], [1, 0, 1]],  # a long row
+        ):
+            with pytest.raises(ValueError, match="needs 2 rows of 2 entries|needs 3 rows of 3"):
+                FiniteGroup(len(rows[0]), rows)
+
+    def test_table_entries_are_shared(self, tmp_path):
         # every entry equal to x is the same int object, above 256 too
         grp = make_cyclic(600)
         assert grp.mul(299, 1) is grp.mul(1, 299) is grp.mul(599, 301)
+        grp = parse_family_spec("h2n2:12:1").group  # order 288, from its factors' rows
+        assert grp.order > 256
+        assert len({id(grp.mul(g, h)) for g in range(grp.order) for h in range(grp.order)}) == 288
+        path = tmp_path / "z17xz17.txt"
+        prod = direct_product(make_cyclic(17), make_cyclic(17))
+        path.write_text("order 289\n" + "\n".join(" ".join(map(str, row)) for row in group_table(prod)))
+        grp = group_from_table_file(path)
+        assert len({id(grp.mul(g, h)) for g in range(289) for h in range(289)}) == 289
+
+    def test_order_cap_is_checked_before_any_row(self):
+        def rows():
+            raise AssertionError("a row was read")
+            yield  # pragma: no cover
+
+        with pytest.raises(SpecError, match=f"exceeds the limit of {MAX_ORDER}"):
+            FiniteGroup(MAX_ORDER + 1, rows())
+        # 4 * 10^8, 1.6 * 10^9 and 1.6 * 10^9 entries, were they built
+        for spec in ("cyclic:20000", "product:cyclic:200,cyclic:200", "dihedral:40000"):
+            with pytest.raises(SpecError, match="exceeds the limit"):
+                parse_group_spec(spec)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(GROUP_TABLES).flatmap(_altered))
@@ -150,6 +246,16 @@ class TestConstructors:
         else:
             accepted = True
         assert accepted == is_group_table(rows)
+
+
+class TestBuilders:
+    @settings(max_examples=120, deadline=None)
+    @given(BUILT_GROUPS)
+    def test_constructors_match_the_closures(self, built):
+        grp, order, mul = built
+        assert grp.order == order
+        assert group_table(grp) == [[mul(g, h) for h in range(order)] for g in range(order)]
+        assert [grp.element_order(g) for g in range(order)] == orders_by_walk(order, mul)
 
 
 class TestElementQueries:

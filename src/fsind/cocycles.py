@@ -25,12 +25,17 @@ class CocycleError(ValueError):
 
 @dataclass
 class ThreeCocycle:
-    """A normalized 3-cocycle on `group` valued in value_order-th roots of unity."""
+    """A normalized 3-cocycle on `group` valued in value_order-th roots of unity.
+
+    `exp_fn(g, h, k)` depends on k only through k // block; the exact check
+    reads one k per block (see verify_cocycle).
+    """
 
     group: FiniteGroup
     value_order: int
     exp_fn: Callable[[int, int, int], int]
     label: str = "omega"
+    block: int = 1
 
     def exponent(self, g, h, k):
         return self.exp_fn(g, h, k) % self.value_order
@@ -140,8 +145,19 @@ def verify_cocycle(cocycle, mode="auto"):
     + D(a,g,h,kl) - D(a,g,h,k) = 0, so {a : D(a, ., ., .) = 0} is closed
     under products, and it holds 1 once omega is normalized.  Mode "auto"
     therefore checks D(s, h, k, l) for s in group.generators() alone:
-    |S| * |G|^3 cases, exact at every order.  Mode "full" checks all |G|^4
-    quadruples, the definition, kept as the reference.
+    |S| * |G|^3 cases, exact at every order.
+
+    Mode "auto" also reads b = cocycle.block.  It first checks that the
+    blocks of b consecutive indices are the left cosets lH of H = {0..b-1}
+    (a ValueError if not).  Then k(lH) = (kl)H, so kl's block depends on l
+    only through l's block, and every term of D reads l or kl through its
+    block alone: D(s, h, k, .) is constant on blocks, and l = 0, b, 2b, ...
+    decide it.  `checked` still counts every quadruple decided, and a
+    violation is reported at the first l of its block, the first l at
+    which it occurs, so the report is the one block = 1 gives.
+
+    Mode "full" ignores the block and checks all |G|^4 quadruples, the
+    definition, kept as the reference.
     """
     if mode not in ("auto", "full"):
         raise ValueError(f"unknown verification mode: {mode!r}")
@@ -150,9 +166,15 @@ def verify_cocycle(cocycle, mode="auto"):
     m = cocycle.value_order
     f = cocycle.exp_fn
     mul = grp.mul
-    for g, h in product(range(n), repeat=2):
-        if f(0, g, h) % m or f(g, 0, h) % m or f(g, h, 0) % m:
-            return VerificationReport(False, n * n, ("normalization", (g, h)))
+    blk = cocycle.block if mode == "auto" else 1
+    grp.check_coset_blocks(blk)
+    reps = range(0, n, blk)  # one l per block
+    for g in range(n):
+        at_1g = [f(0, g, r) % m for r in reps]
+        at_g1 = [f(g, 0, r) % m for r in reps]
+        for h in range(n):
+            if at_1g[h // blk] or at_g1[h // blk] or f(g, h, 0) % m:
+                return VerificationReport(False, n * n, ("normalization", (g, h)))
 
     checked = 0
     if mode == "full":
@@ -165,10 +187,13 @@ def verify_cocycle(cocycle, mode="auto"):
             checked += n
         return VerificationReport(True, checked)
 
-    at_kl = [itemgetter(*[mul(k, l) for l in range(n)]) for k in range(n)]  # row[kl], all l
+    # at_kl[k](row) = row[block of k*l], one entry per block of l; with one
+    # block each row has one entry, which `list` keeps (itemgetter of a single
+    # index would return it bare)
+    at_kl = [itemgetter(*[mul(k, r) // blk for r in reps]) if n > blk else list for k in range(n)]
 
-    def slice_of(h):  # f(h, k, l) for every k, l
-        return [[f(h, k, l) for l in range(n)] for k in range(n)]
+    def slice_of(h):  # f(h, k, l) for every k and one l per block
+        return [[f(h, k, r) for r in reps] for k in range(n)]
 
     for s in grp.generators():
         w, seen = slice_of(s), [False] * n
@@ -180,12 +205,13 @@ def verify_cocycle(cocycle, mode="auto"):
                 seen[h] = True
                 sh = mul(s, h)
                 there = first if seen[sh] else slice_of(sh)
-                for k in range(n):  # w[b][l] = f(s, b, l)
-                    e = w[h][k]
-                    # f(h,k,l), f(sh,k,l), f(s,hk,l), f(s,h,kl) for every l
+                for k in range(n):  # w[x][j] = f(s, x, j*blk)
+                    e = w[h][k // blk]
+                    # f(h,k,l), f(sh,k,l), f(s,hk,l), f(s,h,kl) for l = j*blk
                     terms = zip(here[k], there[k], w[mul(h, k)], at_kl[k](w[h]))
-                    for l, (a, b, c, d) in enumerate(terms):
+                    for j, (a, b, c, d) in enumerate(terms):
                         if (a - b + c - d + e) % m:
+                            l = j * blk
                             where = ("cocycle identity", (s, h, k, l))
                             return VerificationReport(False, checked + l + 1, where)
                     checked += n

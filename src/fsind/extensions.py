@@ -22,6 +22,7 @@ from .groups import (
     FiniteGroup,
     SpecError,
     bicrossed_rows,
+    check_order,
     direct_product,
     make_cyclic,
     make_dihedral,
@@ -70,6 +71,14 @@ def bicrossed_product(pair, label=None, check=True):
     nf, ng = pair.F.order, pair.G.order
     left = [[pair.act_left(g, y) for y in range(nf)] for g in range(ng)]
     right = [[pair.act_right(g, y) for y in range(nf)] for g in range(ng)]
+    # a negative value would wrap round as a list index
+    for table, act, bound in ((left, "g |> y", nf), (right, "g <| y", ng)):
+        for g, row in enumerate(table):
+            if min(row) < 0 or max(row) >= bound:
+                y = next(y for y, v in enumerate(row) if not 0 <= v < bound)
+                raise ValueError(
+                    f"action {act} at (g, y) = {(g, y)} is {row[y]!r}, out of range 0..{bound - 1}"
+                )
     rows = bicrossed_rows(pair.F, pair.G, left, right)
     name = label or f"({pair.F.label}|><|{pair.G.label})"
     return FiniteGroup(nf * ng, rows, label=name, check=check)
@@ -111,7 +120,13 @@ class GTCategory:
 
 
 def omega_from_extension(data, verify=True, label=None):
-    """Induce the 3-cocycle on the bicrossed product from (sigma, tau)."""
+    """Induce the 3-cocycle on the bicrossed product from (sigma, tau).
+
+    omega reads its third argument r only through its F-part r // |G|, so
+    the cocycle carries block = |G|.  Its blocks are the left cosets of the
+    subgroup G = {0..|G|-1}, since (x, g)(1, h) = (x, gh), and the exact
+    check (verify=True) reads one r per block: |F| in place of |F|*|G|.
+    """
     pair = data.pair
     grp = bicrossed_product(pair)
     ng = pair.G.order
@@ -126,7 +141,9 @@ def omega_from_extension(data, verify=True, label=None):
         z_f = r // ng
         return sigma(x_g, y_f, act_l(y_g, z_f)) + tau(act_r(x_g, y_f), y_g, z_f)
 
-    omega = ThreeCocycle(grp, data.value_order, exp_fn, label=f"omega[{data.label}]")
+    omega = ThreeCocycle(
+        grp, data.value_order, exp_fn, label=f"omega[{data.label}]", block=ng
+    )
     if verify:
         report = verify_cocycle(omega)
         if not report.ok:
@@ -232,6 +249,7 @@ def suzuki_cyclic_group(n, l):
     brb^-1 = r^-1, bsb^-1 = r^-1 s>, encoded as i*2L + (2j+k) for b^i r^j s^k.
 
     It is Z_2N |><| D_2L with trivial left action and d <| i = bar^i(d)."""
+    check_order(4 * n * l)
     two_l = 2 * l
     flip = [_dihedral_bar(d, l) for d in range(two_l)]
     left = [range(2 * n)] * two_l
@@ -307,7 +325,8 @@ def suzuki_noncyclic_pair(n, l):
 
 
 def family_suzuki_noncyclic(n, l, beta):
-    """The Suzuki family in the non-cyclic case (N even, alpha = +1)."""
+    """Extension data (sigma only) for the Suzuki family in the non-cyclic
+    case (N even, alpha = +1)."""
     if beta not in (1, -1):
         raise ValueError("beta must be +1 or -1")
     if n % 2 or n < 2:
@@ -331,10 +350,7 @@ def family_suzuki_noncyclic(n, l, beta):
             acc += (2 * i + j * n) * c_unit  # (-1)^j * zeta_N^i
         return acc % m
 
-    data = ExtensionData(
-        pair, m, sigma_exp, lambda g, h, x: 0, label=f"A_{n},{l}^+1,{beta}"
-    )
-    return omega_from_extension(data, verify=False)
+    return ExtensionData(pair, m, sigma_exp, lambda g, h, x: 0, label=f"A_{n},{l}^+1,{beta}")
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +470,9 @@ FAMILIES = {
         ),
         Family(
             "suzukiP", ("N", "L", "beta"),
-            family_suzuki_noncyclic,
+            lambda n, l, beta: omega_from_extension(
+                family_suzuki_noncyclic(n, l, beta), verify=False
+            ),
             nu_suzuki_noncyclic_closed,
             tuple((n, l, beta) for n in (2, 4) for l in (2, 3) for beta in _SIGNS),
         ),

@@ -10,7 +10,7 @@ every order.  Every built-in group is a bicrossed product, and
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 # The largest order tabulated: n^2 entries cost about 8 bytes each, so a
@@ -21,6 +21,13 @@ MAX_ORDER = 4096
 
 class SpecError(ValueError):
     """A malformed spec string or input file."""
+
+
+def check_order(order):
+    """Refuse an order above MAX_ORDER; a builder calls this before it builds
+    any factor of the group."""
+    if order > MAX_ORDER:
+        raise SpecError(f"group order {order} exceeds the limit of {MAX_ORDER}")
 
 
 class FiniteGroup:
@@ -35,8 +42,7 @@ class FiniteGroup:
         rejected order).  The rows are kept as given, not copied."""
         if order < 1:
             raise ValueError("group order must be positive")
-        if order > MAX_ORDER:
-            raise SpecError(f"group order {order} exceeds the limit of {MAX_ORDER}")
+        check_order(order)
         self.order = order
         self.label = label
         rows = mul
@@ -96,6 +102,24 @@ class FiniteGroup:
                     gens = rest
             self._gens = tuple(gens)
         return self._gens
+
+    def check_coset_blocks(self, b):
+        """Raise ValueError unless the blocks of b consecutive indices, j*b ..
+        j*b + b - 1, are the left cosets of H = {0..b-1}: b divides the order,
+        H is closed (so a subgroup), and (j*b)H stays in block j (so, having b
+        elements, it is block j).  Min and max over row slices, at C speed."""
+        n = self.order
+        if b < 1 or n % b:
+            raise ValueError(f"block {b} does not divide the group order {n}")
+        table = self._table
+        for r in chain(range(1, b), range(b, n, b)):
+            part = table[r][:b]
+            low = r - r % b
+            if min(part) < low or max(part) >= low + b:
+                raise ValueError(
+                    f"blocks of {b} are not the left cosets of {{0..{b - 1}}}: "
+                    f"{r}*H leaves block {r // b}"
+                )
 
     def _check_axioms(self):
         """Identity, then Light's associativity test (Clifford & Preston,
@@ -268,6 +292,7 @@ def make_dihedral(two_l):
     r^i s^j, and s acts on r^i by inversion."""
     if two_l < 4 or two_l % 2:
         raise ValueError("dihedral order must be an even integer >= 4")
+    check_order(two_l)
     half = two_l // 2
     left = [list(range(half)), [-y % half for y in range(half)]]
     right = [[0] * half, [1] * half]

@@ -172,6 +172,12 @@ class TestGroupCommand:
         assert code == EXIT_PARSE
         assert "exceeds the limit" in err and "Traceback" not in err and out == ""
 
+    def test_dihedral_above_the_cap_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "group", "dihedral:8000", "--n", "1")
+        assert code == EXIT_PARSE
+        assert "group order 8000 exceeds the limit" in err
+        assert "Traceback" not in err and out == ""
+
     def test_table_file_errors_name_the_row(self, capsys, tmp_path):
         path = tmp_path / "table.txt"
         for body, expected in (

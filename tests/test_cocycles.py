@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
-from itertools import product
+from itertools import product, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,17 @@ from fsind.groups import (
     make_dihedral,
     parse_group_spec,
 )
-from fsind.extensions import FAMILIES, parse_family_spec, split_family_spec
+from fsind.extensions import (
+    FAMILIES,
+    ExtensionData,
+    family_h2n2,
+    family_hn3,
+    family_suzuki_noncyclic,
+    omega_from_extension,
+    parse_family_spec,
+    split_family_spec,
+    trivial_pair,
+)
 
 
 def family_cocycles_upto(order_bound):
@@ -217,6 +228,127 @@ class TestVerification:
         w = product_cocycle(base, trivial_cocycle(make_cyclic(nb)))
         assert w.group.generators() == (1, nb)
         assert_checks_agree(w, (na, nb, m, values))
+
+
+# every grid category built from extension data, up to order 72
+EXTENSION_GRID = [
+    (FAMILIES[kind].spec(params), cat)
+    for kind in ("h2n2", "hn3", "suzukiP")
+    for params in FAMILIES[kind].grid
+    for cat in [FAMILIES[kind].build(*params)]
+    if cat.group.order <= 72
+]
+
+
+def _bumped_extension_data(data, draw):
+    """The (sigma, tau) of `data` with one entry of one of them moved."""
+    nf, ng, m = data.pair.F.order, data.pair.G.order, data.value_order
+    shift = draw(st.integers(1, m - 1))
+    bump_sigma = draw(st.booleans())  # sigma(g; x, y), else tau(g, h; x)
+    sizes = (ng, nf, nf) if bump_sigma else (ng, ng, nf)
+    at = draw(st.tuples(*(st.integers(0, size - 1) for size in sizes)))
+    f = data.sigma_exp if bump_sigma else data.tau_exp
+
+    def bumped(a, b, c):
+        return f(a, b, c) + shift * ((a, b, c) == at)
+
+    sigma, tau = (bumped, data.tau_exp) if bump_sigma else (data.sigma_exp, bumped)
+    return ExtensionData(data.pair, m, sigma, tau, label=f"{data.label}+{shift}@{at}")
+
+
+class TestCosetBlocks:
+    """verify_cocycle reads one l per block of `ThreeCocycle.block`."""
+
+    def test_extension_cocycles_read_the_third_argument_by_block(self):
+        for spec, cat in EXTENSION_GRID:
+            w = cat.omega
+            f, n, b = w.exp_fn, w.group.order, w.block
+            for g, h in product(range(n), repeat=2):
+                row = list(map(f, repeat(g, n), repeat(h, n), range(n)))
+                assert all(len(set(row[r:r + b])) == 1 for r in range(0, n, b)), (spec, g, h)
+
+    def test_block_report_equals_the_one_block_report(self):
+        for spec, cat in EXTENSION_GRID:
+            report = verify_cocycle(cat.omega)
+            assert report.ok, (spec, str(report))
+            assert report == verify_cocycle(dataclasses.replace(cat.omega, block=1)), spec
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bumped_extension_data_reports_equal_the_one_block_reports(self, data):
+        kind, params = data.draw(st.sampled_from(
+            [("h2n2", (n, xi)) for n in (2, 3, 4) for xi in range(n)]
+            + [("hn3", (3, xi, zeta)) for xi in range(3) for zeta in range(3)]
+            + [("suzukiP", (2, l, beta)) for l in (2, 3) for beta in (1, -1)]
+        ))
+        base = {"h2n2": family_h2n2, "hn3": family_hn3, "suzukiP": family_suzuki_noncyclic}[kind](
+            *params
+        )
+        w = omega_from_extension(_bumped_extension_data(base, data.draw), verify=False).omega
+        assert w.block == base.pair.G.order
+        assert verify_cocycle(w) == verify_cocycle(dataclasses.replace(w, block=1))
+
+    def test_blocks_that_are_not_cosets_are_rejected(self):
+        w = parse_family_spec("h2n2:3:1").omega  # order 18, block 9
+        with pytest.raises(ValueError, match="block 4 does not divide the group order 18"):
+            verify_cocycle(dataclasses.replace(w, block=4))
+        # on Z_6, {0, 1} is not a subgroup
+        with pytest.raises(ValueError, match="not the left cosets"):
+            verify_cocycle(dataclasses.replace(psi(6, 1), block=2))
+        # Z_6 relabelled so that {0, 1} is the subgroup {0, 3}, whose coset
+        # 1 + {0, 3} = {1, 4} is labelled {2, 4}, not block {2, 3}
+        label = [0, 2, 3, 1, 4, 5]
+        z6 = FiniteGroup(6, lambda a, b: label[(label.index(a) + label.index(b)) % 6])
+        with pytest.raises(ValueError, match="2[*]H leaves block 1"):
+            verify_cocycle(ThreeCocycle(z6, 1, lambda g, h, k: 0, block=2))
+        # mode "full" ignores the block
+        assert verify_cocycle(dataclasses.replace(psi(6, 1), block=2), mode="full").ok
+
+    def test_one_block(self):
+        # F = 1: the whole group is one block, so each slice row has one entry
+        w = omega_from_extension(ExtensionData(
+            trivial_pair(make_cyclic(1), make_dihedral(6)), 3,
+            lambda g, x, y: 0, lambda g, h, x: 0,
+        )).omega
+        assert w.block == w.group.order == 6
+        report = verify_cocycle(w)
+        assert report.ok and report == verify_cocycle(dataclasses.replace(w, block=1))
+        bad = dataclasses.replace(w, exp_fn=lambda g, h, k: int((g, h) == (2, 3)))
+        report = verify_cocycle(bad)
+        assert report.failure == ("normalization", (2, 3))
+        assert report == verify_cocycle(dataclasses.replace(bad, block=1))
+
+    def test_derived_cocycles_have_one_block(self, tmp_path):
+        w = parse_family_spec("h2n2:2:1").omega
+        assert w.block == 4
+        path = tmp_path / "trivial.txt"
+        path.write_text("order 2\n")
+        derived = [
+            restrict(w, range(4)),
+            conjugate_cocycle(w),
+            product_cocycle(w, psi(2, 1)),
+            product_cocycle(psi(2, 1), w),
+            psi(4, 1),
+            trivial_cocycle(w.group),
+            parse_family_spec("suzuki:1:2:1:1").omega,
+            cocycle_from_file(w.group, path),
+        ]
+        assert [d.block for d in derived] == [1] * len(derived)
+
+    def test_generator_check_reads_one_l_per_block(self):
+        # hn3:5:1:1: normalization 125 * (5 + 5 + 125) calls, then for each of
+        # the two generators 126 slices of 125 x 5 calls
+        w = parse_family_spec("hn3:5:1:1").omega
+        calls = [0]
+        f = w.exp_fn
+
+        def counted(g, h, k):
+            calls[0] += 1
+            return f(g, h, k)
+
+        report = verify_cocycle(dataclasses.replace(w, exp_fn=counted))
+        assert report.ok and report.checked == 2 * 125**3
+        assert calls[0] <= 174_375
 
 
 class TestOmegaTilde:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fsind.groups import FiniteGroup, make_cyclic, make_dihedral
 from fsind.cocycles import CocycleError, verify_cocycle
 from fsind.extensions import (
+    FAMILIES,
     ExtensionData,
     MatchedPair,
     _dihedral_bar,
@@ -48,6 +49,21 @@ class TestMatchedPairs:
                 lambda g, x: g,
                 lambda g, x: (x + g) % 3,  # identity of G must act trivially
             )
+
+    def test_negative_action_value_is_rejected(self):
+        # -y mod 3 would be the inversion action, a valid matched pair
+        pair = MatchedPair(
+            make_cyclic(3), make_cyclic(2), lambda g, x: g, lambda g, x: -x if g else x
+        )
+        with pytest.raises(ValueError, match=r"g \|> y at \(g, y\) = \(1, 1\) is -1, out of"):
+            bicrossed_product(pair)
+
+    def test_action_value_past_the_factor_is_rejected(self):
+        pair = MatchedPair(
+            make_cyclic(3), make_cyclic(2), lambda g, x: g, lambda g, x: x + 2 if g and x else x
+        )
+        with pytest.raises(ValueError, match=r"g \|> y at \(g, y\) = \(1, 1\) is 3, out of"):
+            bicrossed_product(pair)
 
     def test_bicrossed_is_a_group(self):
         for pair in (h2n2_pair(3), hn3_pair(3), suzuki_noncyclic_pair(2, 2)):
@@ -199,10 +215,8 @@ def check_cocycle(omega, context):
 
 class TestH2N2Family:
     def test_cocycle_valid(self):
-        for n in (2, 3, 4, 5):
-            for xi_exp in range(n):
-                cat = omega_from_extension(family_h2n2(n, xi_exp), verify=False)
-                check_cocycle(cat.omega, (n, xi_exp))
+        for params in FAMILIES["h2n2"].grid:
+            check_cocycle(FAMILIES["h2n2"].build(*params).omega, params)
 
     def test_inconsistent_extension_data_is_rejected(self):
         # sigma(g; x, y) at g = (1, 1) in Z_3 x Z_3 and x = y = 1 in Z_2, plus one
@@ -244,11 +258,9 @@ class TestH2N2Family:
 
 class TestHN3Family:
     def test_cocycle_valid(self):
-        cases = [(3, x, z) for x in range(3) for z in range(3)]
-        cases += [(5, 0, 0), (5, 1, 0), (5, 0, 1), (5, 2, 3), (5, 4, 4)]
-        for n, xi_exp, zeta_exp in cases:
-            cat = omega_from_extension(family_hn3(n, xi_exp, zeta_exp), verify=False)
-            check_cocycle(cat.omega, (n, xi_exp, zeta_exp))
+        # all 25 categories of order 125, each over |F| = 5 coset blocks
+        for params in FAMILIES["hn3"].grid:
+            check_cocycle(FAMILIES["hn3"].build(*params).omega, params)
 
     def test_pointwise_display_formula(self):
         # omega((a1,i1,j1),(a2,i2,j2),(a3,i3,j3)) =
@@ -330,11 +342,8 @@ class TestSuzukiFamilies:
                         check_cocycle(cat.omega, (n, l, alpha, beta))
 
     def test_noncyclic_cocycle_valid(self):
-        for n in (2, 4):
-            for l in (2, 3):
-                for beta in (1, -1):
-                    cat = family_suzuki_noncyclic(n, l, beta)
-                    check_cocycle(cat.omega, (n, l, beta))
+        for params in FAMILIES["suzukiP"].grid:
+            check_cocycle(FAMILIES["suzukiP"].build(*params).omega, params)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsind import extensions, groups
 from fsind.groups import (
     MAX_ORDER,
     FiniteGroup,
@@ -19,7 +20,7 @@ from fsind.groups import (
     make_dihedral,
     parse_group_spec,
 )
-from fsind.extensions import parse_family_spec
+from fsind.extensions import parse_family_spec, suzuki_cyclic_group
 
 
 def quaternion_table():
@@ -235,6 +236,18 @@ class TestConstructors:
         for spec in ("cyclic:20000", "product:cyclic:200,cyclic:200", "dihedral:40000"):
             with pytest.raises(SpecError, match="exceeds the limit"):
                 parse_group_spec(spec)
+
+    def test_order_cap_is_checked_before_any_factor(self, monkeypatch):
+        def no_factor(n):
+            raise AssertionError(f"a factor of order {n} was built")
+
+        monkeypatch.setattr(groups, "make_cyclic", no_factor)
+        monkeypatch.setattr(extensions, "make_cyclic", no_factor)
+        monkeypatch.setattr(extensions, "make_dihedral", no_factor)
+        with pytest.raises(SpecError, match=f"group order 8000 exceeds the limit of {MAX_ORDER}"):
+            parse_group_spec("dihedral:8000")  # Z_4000 would be built first
+        with pytest.raises(SpecError, match="group order 4224 exceeds the limit"):
+            suzuki_cyclic_group(32, 33)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(GROUP_TABLES).flatmap(_altered))

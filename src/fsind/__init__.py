@@ -9,7 +9,6 @@ from .cyclotomic import (
     factorize,
     gauss_sum_closed,
     gauss_sum_direct,
-    is_divisible_by_integer,
     jacobi_symbol,
     root,
     sqrt_int,

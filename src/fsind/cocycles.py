@@ -157,7 +157,8 @@ def verify_cocycle(cocycle, mode="auto"):
     which it occurs, so the report is the one block = 1 gives.
 
     Mode "full" ignores the block and checks all |G|^4 quadruples, the
-    definition, kept as the reference.
+    definition, kept as the reference.  In every mode a normalization
+    failure at (g, h) reports the g * |G| + h + 1 pairs decided.
     """
     if mode not in ("auto", "full"):
         raise ValueError(f"unknown verification mode: {mode!r}")
@@ -174,7 +175,7 @@ def verify_cocycle(cocycle, mode="auto"):
         at_g1 = [f(g, 0, r) % m for r in reps]
         for h in range(n):
             if at_1g[h // blk] or at_g1[h // blk] or f(g, h, 0) % m:
-                return VerificationReport(False, n * n, ("normalization", (g, h)))
+                return VerificationReport(False, g * n + h + 1, ("normalization", (g, h)))
 
     checked = 0
     if mode == "full":

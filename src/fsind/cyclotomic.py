@@ -7,6 +7,12 @@ is below phi(p^e).  Reduction uses the vanishing sums
 zeta^x + zeta^{x + M/p} + ... + zeta^{x + (p-1)M/p} = 0, which makes zero
 tests, equality and integer-divisibility purely coordinatewise.
 
+Every value is stored at its minimal conductor, the least d with the value in
+Z[zeta_d]; it is well defined because Z[zeta_a] and Z[zeta_b] meet in
+Z[zeta_gcd(a, b)] (Washington, Introduction to Cyclotomic Fields, ch. 2).
+The constructor establishes this once, in `_shrink_conductor`, so equal
+values have equal conductors and equal coefficients.
+
 The power basis 1, zeta, ..., zeta^{phi(M)-1} (remainder modulo the M-th
 cyclotomic polynomial) is used for serialization and text rendering.
 """
@@ -16,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -133,7 +138,7 @@ class CyclotomicInteger:
             coeffs = _canonicalize(conductor, {x % conductor: c for x, c in coeffs.items()})
         self.conductor = conductor
         self._coeffs = coeffs
-        self._fast_shrink()
+        self._shrink_conductor()
 
     # -- construction -------------------------------------------------------
 
@@ -147,14 +152,24 @@ class CyclotomicInteger:
 
     # -- internal normal form ----------------------------------------------
 
-    def _fast_shrink(self) -> None:
-        """Cheap sound conductor lowering: strip prime powers dividing all exponents."""
-        m = self.conductor
+    def _shrink_conductor(self) -> None:
+        """Lower the conductor to the minimal one, prime by prime.
+
+        If the value lies in Z[zeta_d] with d | M, every canonical exponent at
+        M is a multiple of M/d: zeta_d^y = zeta_M^{(M/d)y}, and each reduction
+        step by M/p keeps that divisibility (for p not dividing d the
+        exponents are 0 mod p^e and need no p-step; for p | d, p^(e-1)
+        divides M/p; the other primes' shares divide M/p wholly).
+        Conversely, if p divides every exponent the value lies in
+        Z[zeta_{M/p}].  So stripping, for each p, the largest power of p that
+        divides every exponent leaves the minimal conductor.  It is never
+        2 mod 4: phi(2) = 1 makes every canonical exponent even there, so the
+        2 is always stripped.
+        """
         if not self._coeffs:
-            if m != 1:
-                self.conductor = 1
+            self.conductor = 1
             return
-        for p, pe, _ in _prime_powers(m):
+        for p, pe, _ in _prime_powers(self.conductor):
             s = pe
             for x in self._coeffs:
                 while s > 1 and x % s:
@@ -165,9 +180,6 @@ class CyclotomicInteger:
                 m2 = self.conductor // s
                 self.conductor = m2
                 self._coeffs = _canonicalize(m2, {(x // s) % m2: c for x, c in self._coeffs.items()})
-        # conductor 2 means coefficients of (-1)^x; fold into integers
-        if self.conductor == 2:
-            self.conductor = 1
 
     def _embed(self, target: int) -> dict[int, int]:
         """Coefficients re-expressed at a conductor that self.conductor divides."""
@@ -182,7 +194,7 @@ class CyclotomicInteger:
 
     def __add__(self, other) -> "CyclotomicInteger":
         other = _coerce(other)
-        m = _lcm(self.conductor, other.conductor)
+        m = math.lcm(self.conductor, other.conductor)
         a = self._embed(m)
         for x, c in other._embed(m).items():
             a[x] = a.get(x, 0) + c
@@ -203,7 +215,7 @@ class CyclotomicInteger:
 
     def __mul__(self, other) -> "CyclotomicInteger":
         other = _coerce(other)
-        m = _lcm(self.conductor, other.conductor)
+        m = math.lcm(self.conductor, other.conductor)
         a, b = self._embed(m), other._embed(m)
         out: dict[int, int] = {}
         for x1, c1 in a.items():
@@ -230,62 +242,26 @@ class CyclotomicInteger:
         m = self.conductor
         return CyclotomicInteger(m, {(-x) % m: c for x, c in self._coeffs.items()})
 
-    def galois(self, a: int) -> "CyclotomicInteger":
-        """Apply the automorphism zeta_M -> zeta_M^a (a coprime to M)."""
-        m = self.conductor
-        if math.gcd(a, m) != 1:
-            raise ValueError("Galois exponent must be coprime to the conductor")
-        return CyclotomicInteger(m, {(a * x) % m: c for x, c in self._coeffs.items()})
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, CyclotomicInteger)):
-            other = _coerce(other)
-        else:
+        if not isinstance(other, (int, CyclotomicInteger)):
             return NotImplemented
-        m = _lcm(self.conductor, other.conductor)
-        return self._embed(m) == other._embed(m)
+        other = _coerce(other)
+        return self.conductor == other.conductor and self._coeffs == other._coeffs
 
-    __hash__ = None  # mutable-free but conductor-relative; use == in sets via lists
+    __hash__ = None
 
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    # -- rationality, minimization, divisibility ----------------------------
+    # -- rationality, divisibility ------------------------------------------
 
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self._coeffs)
+        return self.conductor == 1
 
     def as_int(self) -> int:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not a rational integer")
         return self._coeffs.get(0, 0)
-
-    def minimize(self) -> "CyclotomicInteger":
-        """Equal value at the smallest conductor dividing the current one."""
-        if self.is_rational():
-            return CyclotomicInteger(1, {0: self._coeffs.get(0, 0)}, _reduced=True)
-        m = self.conductor
-        for d in divisors(m)[:-1]:
-            if d % 4 == 2:
-                continue
-            if self._fixed_by_subgroup(d):
-                return self._rewrite_at(d)
-        return self
-
-    def _fixed_by_subgroup(self, d: int) -> bool:
-        """True iff self is fixed by every zeta -> zeta^a with a = 1 mod d."""
-        m = self.conductor
-        for a in range(1 + d, m, d):
-            if math.gcd(a, m) == 1 and self.galois(a) != self:
-                return False
-        return True
-
-    def _rewrite_at(self, d: int) -> "CyclotomicInteger":
-        """Express self (known to lie in Z[zeta_d]) at conductor d."""
-        m = self.conductor
-        basis = _subfield_basis(m, d)
-        coords = _solve_integer(basis, self._coeffs)
-        return CyclotomicInteger(d, {x: c for x, c in zip(_canonical_exponents(d), coords) if c})
 
     def is_divisible_by_integer(self, n: int) -> bool:
         """True iff self / n is an algebraic integer (n >= 1)."""
@@ -297,11 +273,10 @@ class CyclotomicInteger:
 
     def power_basis_coeffs(self) -> tuple[int, list[int]]:
         """(minimal conductor M, coordinates in the basis 1, zeta_M, ...)."""
-        x = self.minimize()
-        m = x.conductor
+        m = self.conductor
         phi = euler_phi(m)
         poly = [0] * m
-        for e, c in x._coeffs.items():
+        for e, c in self._coeffs.items():
             poly[e] = c
         rem = _poly_mod(poly, cyclotomic_polynomial(m))
         return m, (rem + [0] * phi)[:phi]
@@ -348,10 +323,6 @@ def _coerce(x) -> CyclotomicInteger:
     raise TypeError(f"cannot interpret {x!r} as a cyclotomic integer")
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def _poly_mod(poly: list[int], mod: tuple[int, ...]) -> list[int]:
     """Remainder of poly modulo a monic integer polynomial, ascending coeffs."""
     poly = list(poly)
@@ -366,60 +337,6 @@ def _poly_mod(poly: list[int], mod: tuple[int, ...]) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-@lru_cache(maxsize=None)
-def _canonical_exponents(m: int) -> tuple[int, ...]:
-    pps = _prime_powers(m)
-    return tuple(
-        x for x in range(m) if all(x % pe < phi_pe for _, pe, phi_pe in pps)
-    )
-
-
-@lru_cache(maxsize=None)
-def _subfield_basis(m: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Canonical basis monomials of Z[zeta_d] re-reduced at conductor m."""
-    k = m // d
-    out = []
-    for e in _canonical_exponents(d):
-        out.append(tuple(sorted(_canonicalize(m, {(e * k) % m: 1}).items())))
-    return tuple(out)
-
-
-def _solve_integer(basis, target: dict[int, int]) -> list[int]:
-    """Solve sum_j y_j * basis_j = target with integer y, via exact elimination."""
-    rows = sorted({x for vec in basis for x, _ in vec} | set(target))
-    idx = {x: i for i, x in enumerate(rows)}
-    ncols = len(basis)
-    mat = [[Fraction(0)] * (ncols + 1) for _ in rows]
-    for j, vec in enumerate(basis):
-        for x, c in vec:
-            mat[idx[x]][j] = Fraction(c)
-    for x, c in target.items():
-        mat[idx[x]][ncols] = Fraction(c)
-    # Gaussian elimination
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pr is None:
-            raise ArithmeticError("subfield basis is degenerate")
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][col]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][ncols]:
-            raise ArithmeticError("element does not lie in the claimed subfield")
-    sol = [mat[i][ncols] for i in range(ncols)]
-    if any(v.denominator != 1 for v in sol):
-        raise ArithmeticError("non-integral subfield coordinates")
-    return [int(v) for v in sol]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +359,7 @@ class RootOfUnity:
         object.__setattr__(self, "exponent", k // g)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        m = _lcm(self.order, other.order)
+        m = math.lcm(self.order, other.order)
         return RootOfUnity(m, self.exponent * (m // self.order) + other.exponent * (m // other.order))
 
     def __pow__(self, k: int) -> "RootOfUnity":
@@ -528,10 +445,6 @@ def gauss_sum_closed(a: int, m: int) -> CyclotomicInteger:
         unit = ONE + (I_UNIT if a % 4 == 1 else -I_UNIT)
         return jacobi_symbol(m, a) * sqrt_int(m) * unit
     return CyclotomicInteger.zero()  # m = 2 mod 4
-
-
-def is_divisible_by_integer(x: CyclotomicInteger, n: int) -> bool:
-    return x.is_divisible_by_integer(n)
 
 
 def divide_by_sqrt_p_and_test(x: CyclotomicInteger, n: int, p: int) -> bool:

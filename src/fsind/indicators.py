@@ -27,7 +27,7 @@ from .cyclotomic import (
     root,
     sqrt_int,
 )
-from .cocycles import c_omega
+from .cocycles import c_omega, omega_tilde_root
 
 
 def b_p(p, n):
@@ -61,20 +61,13 @@ def nu_literal(cat, n):
     """The exact n-th indicator of a GTCategory by direct summation."""
     if n < 1:
         raise ValueError("n must be positive")
-    grp = cat.group
     omega = cat.omega
     m = omega.value_order
-    f = omega.exp_fn
-    mul = grp.mul
     counts: dict[int, int] = {}
-    for g in grp.torsion(n):
-        acc = 0
-        gk = g
-        for _ in range(1, n):
-            acc += f(g, gk, g)
-            gk = mul(gk, g)
-        acc %= m
-        counts[acc] = counts.get(acc, 0) + 1
+    for g in cat.group.torsion(n):
+        r = omega_tilde_root(omega, n, g)
+        x = r.exponent * (m // r.order)
+        counts[x] = counts.get(x, 0) + 1
     return CyclotomicInteger(m, counts)
 
 

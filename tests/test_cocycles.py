@@ -190,6 +190,24 @@ class TestVerification:
             report = verify_cocycle(ThreeCocycle(grp, 3, lambda g, h, k: 1), mode=mode)
             assert not report.ok and report.failure[0] == "normalization"
 
+    @pytest.mark.parametrize("make, where, checked", [
+        (lambda: ThreeCocycle(make_cyclic(27), 27, lambda g, h, k: 1), (0, 0), 1),
+        (lambda: _bumped_hn3(False, (0, 5, 0)), (0, 5), 6),
+        (lambda: _bumped_hn3(True, (8, 0, 1)), (8, 9), 226),
+    ], ids=["z27", "hn3-tau", "hn3-sigma"])
+    def test_normalization_failure_counts_the_pairs_decided(self, make, where, checked):
+        # the pairs (g, h) are decided in order, so failing at (g, h) decides
+        # g * n + h + 1 of them, whichever mode or block reads them
+        w = make()
+        for report in (
+            verify_cocycle(w),
+            verify_cocycle(w, mode="full"),
+            verify_cocycle(dataclasses.replace(w, block=1)),
+        ):
+            assert (report.ok, report.checked, report.failure) == (
+                False, checked, ("normalization", where)
+            )
+
     def test_generator_check_on_psi(self):
         # Z_12 has one generator, so the check covers 12^3 quadruples
         report = verify_cocycle(psi(12, 5))
@@ -247,13 +265,22 @@ def _bumped_extension_data(data, draw):
     bump_sigma = draw(st.booleans())  # sigma(g; x, y), else tau(g, h; x)
     sizes = (ng, nf, nf) if bump_sigma else (ng, ng, nf)
     at = draw(st.tuples(*(st.integers(0, size - 1) for size in sizes)))
+    return _bumped(data, bump_sigma, at, shift)
+
+
+def _bumped(data, bump_sigma, at, shift):
+    """The (sigma, tau) of `data` with sigma(at), else tau(at), moved by shift."""
     f = data.sigma_exp if bump_sigma else data.tau_exp
 
     def bumped(a, b, c):
         return f(a, b, c) + shift * ((a, b, c) == at)
 
     sigma, tau = (bumped, data.tau_exp) if bump_sigma else (data.sigma_exp, bumped)
-    return ExtensionData(data.pair, m, sigma, tau, label=f"{data.label}+{shift}@{at}")
+    return ExtensionData(data.pair, data.value_order, sigma, tau, label=f"{data.label}+{shift}@{at}")
+
+
+def _bumped_hn3(bump_sigma, at):
+    return omega_from_extension(_bumped(family_hn3(3, 1, 1), bump_sigma, at, 1), verify=False).omega
 
 
 class TestCosetBlocks:

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +32,31 @@ small_values = st.builds(
     lambda seed: rand_value(random.Random(seed)), st.integers(0, 10_000)
 )
 
+# composite conductors with several proper subfields each
+WIDE_CONDUCTORS = CONDUCTORS + [28, 30, 36, 40, 45, 48, 60]
+OPERATIONS = [
+    lambda x, y: x + y,
+    lambda x, y: x * y,
+    lambda x, y: x * y.conjugate(),
+    lambda x, y: x + x.conjugate(),
+    lambda x, y: x * x.conjugate(),
+]
+
+
+def _built_value(seed, op):
+    rng = random.Random(seed)
+    x, y = (rand_value(rng, rng.choice(WIDE_CONDUCTORS)) for _ in range(2))
+    return op(x, y)
+
+
+built_values = st.builds(_built_value, st.integers(0, 10_000), st.sampled_from(OPERATIONS))
+
+
+def automorphism(x, a):
+    """zeta_M -> zeta_M^a on x, M its stored conductor and a coprime to M."""
+    m, coeffs = x.power_basis_coeffs()
+    return sum((c * root(m, a * k) for k, c in enumerate(coeffs)), CyclotomicInteger.zero())
+
 
 class TestBasics:
     def test_integer_embedding(self):
@@ -52,7 +75,7 @@ class TestBasics:
     def test_root_conductor_reduction(self):
         assert root(6, 2) == root(3, 1)
         assert root(8, 4) == -1
-        assert root(12, 3).minimize().conductor == 4
+        assert root(12, 3).conductor == 4
 
     def test_primitive_root_not_rational(self):
         for m in (3, 4, 5, 7, 8, 9):
@@ -62,12 +85,6 @@ class TestBasics:
         x = 2 + 3 * root(5, 1)
         assert x.conjugate() == 2 + 3 * root(5, 4)
         assert (x * x.conjugate()).conjugate() == x * x.conjugate()
-
-    def test_galois(self):
-        x = root(7, 1) + root(7, 2)
-        assert x.galois(3) == root(7, 3) + root(7, 6)
-        with pytest.raises(ValueError):
-            x.galois(7)
 
 
 class TestRingLaws:
@@ -188,12 +205,29 @@ class TestNormalForm:
 
     def test_minimize_reaches_subfield(self):
         x = root(12, 3)  # equals i
-        y = x.minimize()
-        assert y.conductor == 4 and y == root(4, 1)
+        assert x.conductor == 4 and x == root(4, 1)
 
     def test_minimize_fixed_point(self):
         s = sqrt_int(5)
-        assert s.minimize().conductor == 5
+        assert s.conductor == 5
+
+    @given(built_values, st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_stored_conductor_is_minimal(self, x, k):
+        # x lies in Z[zeta_d] iff every zeta -> zeta^a with a = 1 mod d fixes
+        # it; d = 2 mod 4 gives the same subgroup as d / 2
+        m = x.conductor
+        assert m % 4 != 2
+        for d in divisors(m)[:-1]:
+            if d % 4 != 2:
+                assert any(
+                    not (automorphism(x, a) - x).is_zero()
+                    for a in range(1 + d, m, d) if math.gcd(a, m) == 1
+                ), (x, d)
+        # the same value re-expressed at a multiple of its conductor
+        m, coeffs = x.power_basis_coeffs()
+        y = CyclotomicInteger(k * m, {k * j: c for j, c in enumerate(coeffs)})
+        assert (y.conductor, y._coeffs) == (x.conductor, x._coeffs)
 
     def test_render(self):
         assert CyclotomicInteger.from_int(5).render_text() == "5"

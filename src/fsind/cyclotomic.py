@@ -13,6 +13,10 @@ Z[zeta_gcd(a, b)] (Washington, Introduction to Cyclotomic Fields, ch. 2).
 The constructor establishes this once, in `_shrink_conductor`, so equal
 values have equal conductors and equal coefficients.
 
+Each ring operation canonicalizes at most once; a product with a rational c
+(negation is c = -1) not at all: c != 0 keeps the support, and c*x in
+Z[zeta_d] puts x in Q(zeta_d) & Z[zeta_M] = Z[zeta_d], so the conductor stays.
+
 The power basis 1, zeta, ..., zeta^{phi(M)-1} (remainder modulo the M-th
 cyclotomic polynomial) is used for serialization and text rendering.
 """
@@ -114,7 +118,12 @@ def _prime_powers(m: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def _canonicalize(m: int, coeffs: dict[int, int]) -> dict[int, int]:
-    """Reduce exponent support onto the canonical CRT basis, drop zeros."""
+    """Reduce any support in 0..M-1 onto the canonical CRT basis, drop zeros.
+
+    For p^e || M, each x with x mod p^e >= phi(p^e) goes to its partners
+    x + j*M/p (0 < j < p), whose residues fall below phi(p^e) mod p^e and stay
+    put mod the other prime powers: one pass per prime reaches the basis.
+    """
     for p, pe, phi_pe in _prime_powers(m):
         step = m // p
         for x in [x for x in coeffs if x % pe >= phi_pe]:
@@ -182,13 +191,15 @@ class CyclotomicInteger:
                 self._coeffs = _canonicalize(m2, {(x // s) % m2: c for x, c in self._coeffs.items()})
 
     def _embed(self, target: int) -> dict[int, int]:
-        """Coefficients re-expressed at a conductor that self.conductor divides."""
+        """Coefficients at a multiple of the conductor (x -> kx), not reduced."""
         k = target // self.conductor
-        if target % self.conductor:
-            raise ValueError("embedding target must be a multiple of the conductor")
-        if k == 1:
-            return dict(self._coeffs)
-        return _canonicalize(target, {x * k: c for x, c in self._coeffs.items()})
+        return {x * k: c for x, c in self._coeffs.items()}
+
+    def _scaled(self, c: int) -> "CyclotomicInteger":
+        """c * self, in normal form as built (module docstring)."""
+        out = object.__new__(CyclotomicInteger)
+        out.conductor, out._coeffs = self.conductor, {x: c * v for x, v in self._coeffs.items()}
+        return out if c else CyclotomicInteger.zero()
 
     # -- ring operations ----------------------------------------------------
 
@@ -198,14 +209,12 @@ class CyclotomicInteger:
         a = self._embed(m)
         for x, c in other._embed(m).items():
             a[x] = a.get(x, 0) + c
-        return CyclotomicInteger(m, {x: c for x, c in a.items() if c}, _reduced=True)
+        return CyclotomicInteger(m, _canonicalize(m, a), _reduced=True)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CyclotomicInteger":
-        return CyclotomicInteger(
-            self.conductor, {x: -c for x, c in self._coeffs.items()}, _reduced=True
-        )
+        return self._scaled(-1)
 
     def __sub__(self, other) -> "CyclotomicInteger":
         return self + (-_coerce(other))
@@ -214,7 +223,12 @@ class CyclotomicInteger:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "CyclotomicInteger":
+        if isinstance(other, int):
+            return self._scaled(other)
         other = _coerce(other)
+        if other.conductor == 1 or self.conductor == 1:
+            x, y = (self, other) if other.conductor == 1 else (other, self)
+            return x._scaled(y._coeffs.get(0, 0))
         m = math.lcm(self.conductor, other.conductor)
         a, b = self._embed(m), other._embed(m)
         out: dict[int, int] = {}
@@ -229,13 +243,13 @@ class CyclotomicInteger:
     def __pow__(self, k: int) -> "CyclotomicInteger":
         if k < 0:
             raise ValueError("negative powers are not defined in Z[zeta]")
-        out = CyclotomicInteger.from_int(1)
-        base = self
+        out, base = ONE, self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def conjugate(self) -> "CyclotomicInteger":
@@ -408,12 +422,12 @@ def sqrt_int(n: int) -> CyclotomicInteger:
     """Exact sqrt(n) for n >= 1, as a cyclotomic integer."""
     if n < 1:
         raise ValueError("sqrt_int requires n >= 1")
-    out = CyclotomicInteger.from_int(1)
+    out, square = ONE, 1
     for p, e in factorize(n).items():
-        out = out * (p ** (e // 2))
+        square *= p ** (e // 2)
         if e % 2:
             out = out * _sqrt_prime(p)
-    return out
+    return square * out
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +41,10 @@ OPERATIONS = [
     lambda x, y: x * y.conjugate(),
     lambda x, y: x + x.conjugate(),
     lambda x, y: x * x.conjugate(),
+    lambda x, y: 3 * x,
+    lambda x, y: x * CyclotomicInteger.from_int(-2),
+    lambda x, y: -x,
+    lambda x, y: x + 5,
 ]
 
 
@@ -106,6 +111,27 @@ class TestRingLaws:
         assert a + CyclotomicInteger.zero() == a
         assert a * 1 == a
         assert (a - a).is_zero()
+
+    @given(built_values, st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_products_match_the_constructor(self, x, c):
+        expected = CyclotomicInteger(x.conductor, {e: c * v for e, v in x._coeffs.items()})
+        r = CyclotomicInteger.from_int(c)
+        for y in (x * c, c * x, x * r, r * x):
+            assert (y.conductor, y._coeffs) == (expected.conductor, expected._coeffs)
+        zero = x * 0
+        assert zero.is_zero() and zero.conductor == 1
+
+    @given(small_values)
+    @settings(max_examples=30, deadline=None)
+    def test_power_is_repeated_product(self, x):
+        product = CyclotomicInteger.from_int(1)
+        for k in range(8):
+            y = x**k
+            assert (y.conductor, y._coeffs) == (product.conductor, product._coeffs)
+            product = product * x
+        with pytest.raises(ValueError):
+            x ** -1
 
     @given(small_values)
     @settings(max_examples=40, deadline=None)

@@ -67,7 +67,7 @@ class TestGaussSums:
             assert s * s.conjugate() == m
 
     def test_closed_equals_direct_exhaustive(self):
-        for m in range(1, 61):
+        for m in range(1, 81):
             for a in range(m):
                 assert gauss_sum_closed(a, m) == gauss_sum_direct(a, m), (a, m)
 
@@ -85,7 +85,7 @@ class TestGaussSums:
 
 class TestSqrtInt:
     def test_perfect_squares_and_primes(self):
-        for n in (1, 2, 3, 4, 5, 8, 9, 12, 18, 45):
+        for n in range(1, 200):
             s = sqrt_int(n)
             assert s * s == n
             assert abs(s.to_complex() - math.sqrt(n)) < 1e-9  # positive branch

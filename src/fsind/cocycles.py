@@ -25,10 +25,18 @@ class CocycleError(ValueError):
 
 @dataclass
 class ThreeCocycle:
-    """A normalized 3-cocycle on `group` valued in value_order-th roots of unity.
+    """A 3-cocycle on `group` valued in value_order-th roots of unity.
 
     `exp_fn(g, h, k)` depends on k only through k // block; the exact check
     reads one k per block (see verify_cocycle).
+
+    `is_cocycle` claims that exp_fn is a normalized 3-cocycle, and lets
+    order_profile walk one element per cyclic subgroup.  It is set by the
+    builders that produce cocycles by construction or verify them, and passed
+    on by restrict, conjugate_cocycle and product_cocycle; anything else
+    leaves it False and gets the per-element pass, which is right for any
+    exponent function.  A caller who swaps exp_fn with dataclasses.replace
+    must clear it.
     """
 
     group: FiniteGroup
@@ -36,34 +44,54 @@ class ThreeCocycle:
     exp_fn: Callable[[int, int, int], int]
     label: str = "omega"
     block: int = 1
+    is_cocycle: bool = False
 
     def exponent(self, g, h, k):
         return self.exp_fn(g, h, k) % self.value_order
 
     @cached_property
     def order_profile(self):
-        """{(ord g, E_g, u_g): count}, from one pass over the group.
+        """{(ord g, E_g, u_g): count} over the group.
 
         E_g = sum_{k=1}^{ord g} f(g, g^k, g) and u_g = f(g, 1, g), both mod
         value_order, with f = exp_fn.  For n = q * ord g the exponent of
         omega_tilde_n(g) is q * E_g - u_g: the product over k = 1..n-1 runs q
-        full periods of g^k less the k = n term.  This holds for any exponent
-        function, normalized or not, and costs sum_g ord g calls to exp_fn.
+        full periods of g^k less the k = n term.
+
+        Without is_cocycle this walks every element: right for any exponent
+        function, normalized or not, at sum_g ord g calls to exp_fn.  With
+        it, u_g = 0, and E_{g^j} = j^2 * E_g for j prime to o = ord g: on
+        <g> = Z_o the class of omega is a power of the generator c^2 of
+        H^3(Z_o, C^x) = Z_o, and g -> g^j sends c to j*c (K. S. Brown,
+        Cohomology of Groups, GTM 87).  So one walk per cyclic subgroup
+        fills in all its generators, at sum_C |C| calls.
         """
         grp = self.group
         m = self.value_order
         f = self.exp_fn
         mul = grp.mul
         profile: dict[tuple[int, int, int], int] = {}
+        seen = bytearray(grp.order)
         for g in range(grp.order):
-            acc = 0
+            if seen[g]:
+                continue
+            powers = [0]  # g^0 .. g^(o-1)
             gk = g
-            while gk:  # k = 1 .. ord g - 1
-                acc += f(g, gk, g)
+            while gk:
+                powers.append(gk)
                 gk = mul(gk, g)
-            u = f(g, 0, g)  # k = ord g, where g^k = 1
-            key = (grp.element_order(g), (acc + u) % m, u % m)
-            profile[key] = profile.get(key, 0) + 1
+            o = len(powers)
+            acc = sum(f(g, x, g) for x in powers[1:])  # k = 1 .. o - 1
+            if not self.is_cocycle:
+                u = f(g, 0, g)  # k = o, where g^k = 1
+                key = (o, (acc + u) % m, u % m)
+                profile[key] = profile.get(key, 0) + 1
+                continue
+            for j, x in enumerate(powers):
+                if math.gcd(j, o) == 1:  # g^j generates <g>; j = 0 when o = 1
+                    seen[x] = 1
+                    key = (o, j * j * acc % m, 0)
+                    profile[key] = profile.get(key, 0) + 1
         return profile
 
 
@@ -81,7 +109,7 @@ class VerificationReport:
 
 
 def trivial_cocycle(group):
-    return ThreeCocycle(group, 1, lambda g, h, k: 0, label="trivial")
+    return ThreeCocycle(group, 1, lambda g, h, k: 0, label="trivial", is_cocycle=True)
 
 
 def psi(n, r):
@@ -92,7 +120,9 @@ def psi(n, r):
     """
     if n < 1:
         raise ValueError("cyclic order must be positive")
-    return ThreeCocycle(make_cyclic_cached(n), n * n, _psi_exp(n, r), label=f"psi_{n}^{r}")
+    return ThreeCocycle(
+        make_cyclic_cached(n), n * n, _psi_exp(n, r), label=f"psi_{n}^{r}", is_cocycle=True
+    )
 
 
 def _psi_exp(n, r):
@@ -132,7 +162,7 @@ def psi_on(group, r):
         x = group.mul(x, gen)
     base = _psi_exp(n, r)
     return ThreeCocycle(
-        group, n * n, lambda a, b, c: base(log[a], log[b], log[c]), label=f"psi_{n}^{r}"
+        group, n * n, lambda a, b, c: base(log[a], log[b], log[c]), f"psi_{n}^{r}", is_cocycle=True
     )
 
 
@@ -239,6 +269,7 @@ def omega_tilde_root(cocycle, n, g):
         gk = mul(gk, g)
     return RootOfUnity(m, acc % m)
 
+
 def omega_tilde(cocycle, n, g):
     """omega_tilde_n(g) as an exact cyclotomic value (0 when g^n != 1)."""
     r = omega_tilde_root(cocycle, n, g)
@@ -274,7 +305,9 @@ def restrict(cocycle, elements, label=None):
     def exp_fn(g, h, k):
         return f(elems[g], elems[h], elems[k])
 
-    return ThreeCocycle(sub, cocycle.value_order, exp_fn, label=f"{cocycle.label}|H")
+    return ThreeCocycle(
+        sub, cocycle.value_order, exp_fn, f"{cocycle.label}|H", is_cocycle=cocycle.is_cocycle
+    )
 
 
 def product_cocycle(ca, cb):
@@ -293,14 +326,19 @@ def product_cocycle(ca, cb):
         xc, yc = divmod(k, nb)
         return sa * fa(xa, xb, xc) + sb * fb(ya, yb, yc)
 
-    return ThreeCocycle(grp, m, exp_fn, label=f"{ca.label}(x){cb.label}")
+    both = ca.is_cocycle and cb.is_cocycle
+    return ThreeCocycle(grp, m, exp_fn, f"{ca.label}(x){cb.label}", is_cocycle=both)
 
 
 def conjugate_cocycle(cocycle):
     """The complex-conjugate cocycle (all values inverted)."""
     f = cocycle.exp_fn
     return ThreeCocycle(
-        cocycle.group, cocycle.value_order, lambda g, h, k: -f(g, h, k), label=f"conj({cocycle.label})"
+        cocycle.group,
+        cocycle.value_order,
+        lambda g, h, k: -f(g, h, k),
+        label=f"conj({cocycle.label})",
+        is_cocycle=cocycle.is_cocycle,
     )
 
 
@@ -341,6 +379,7 @@ def cocycle_from_file(group, path):
     report = verify_cocycle(cocycle)
     if not report.ok:
         raise CocycleError(str(report))
+    cocycle.is_cocycle = True
     return cocycle
 
 

@@ -296,10 +296,11 @@ class CyclotomicInteger:
         return m, (rem + [0] * phi)[:phi]
 
     def to_complex(self) -> complex:
+        """The complex value, its real and imaginary parts each summed with
+        math.fsum, so that it does not depend on the order of the terms."""
         m = self.conductor
-        return sum(
-            c * cmath.exp(2j * cmath.pi * x / m) for x, c in self._coeffs.items()
-        ) or complex(0)
+        terms = [c * cmath.exp(2j * cmath.pi * x / m) for x, c in self._coeffs.items()]
+        return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
     def render_text(self) -> str:
         m, coeffs = self.power_basis_coeffs()

@@ -126,6 +126,10 @@ def omega_from_extension(data, verify=True, label=None):
     the cocycle carries block = |G|.  Its blocks are the left cosets of the
     subgroup G = {0..|G|-1}, since (x, g)(1, h) = (x, gh), and the exact
     check (verify=True) reads one r per block: |F| in place of |F|*|G|.
+
+    The cocycle is marked is_cocycle.  With verify=False that trusts the
+    data: sigma and tau must satisfy the extension equations, or the order
+    profile, and every indicator read from it, is wrong.
     """
     pair = data.pair
     grp = bicrossed_product(pair)
@@ -142,7 +146,7 @@ def omega_from_extension(data, verify=True, label=None):
         return sigma(x_g, y_f, act_l(y_g, z_f)) + tau(act_r(x_g, y_f), y_g, z_f)
 
     omega = ThreeCocycle(
-        grp, data.value_order, exp_fn, label=f"omega[{data.label}]", block=ng
+        grp, data.value_order, exp_fn, label=f"omega[{data.label}]", block=ng, is_cocycle=True
     )
     if verify:
         report = verify_cocycle(omega)
@@ -306,7 +310,9 @@ def family_suzuki_cyclic(n, l, alpha, beta, eta_exp=None):
             acc += i * neg_alpha_zeta
         return acc % m
 
-    omega = ThreeCocycle(grp, m, exp_fn, label=f"omega[A_{n},{l}^{alpha},{beta}]")
+    omega = ThreeCocycle(
+        grp, m, exp_fn, label=f"omega[A_{n},{l}^{alpha},{beta}]", is_cocycle=True
+    )
     return GTCategory(grp, omega, label=f"A_{n},{l}^{alpha},{beta}")
 
 

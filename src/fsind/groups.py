@@ -347,17 +347,25 @@ def group_from_table_file(path):
 
 def parse_group_spec(spec):
     """Parse `cyclic:N`, `dihedral:M`, `product:<a>,<b>`, `table:<path>`."""
+    # split a product at its first comma: the left factor is a simple spec,
+    # the right factor absorbs the rest (so nested products nest rightward);
+    # a chain of products is read in a loop, not by recursion, and its
+    # factors are built left to right and folded from the right
+    factors = []
     kind, _, rest = spec.partition(":")
-    if kind in ("cyclic", "dihedral"):
-        order = spec_int(rest, f"{kind} expects an integer order, got {spec!r}")
-        return make_cyclic(order) if kind == "cyclic" else make_dihedral(order)
-    if kind == "table":
-        return group_from_table_file(rest)
-    if kind == "product":
-        # split at the first comma: the left factor is a simple spec, the
-        # right factor absorbs the rest (so nested products nest rightward)
-        left, sep, right = rest.partition(",")
+    while kind == "product":
+        left, sep, spec = rest.partition(",")
         if not sep:
             raise SpecError(f"product spec needs two comma-separated parts: {rest!r}")
-        return direct_product(parse_group_spec(left), parse_group_spec(right))
-    raise SpecError(f"unknown group spec: {spec!r}")
+        factors.append(parse_group_spec(left))
+        kind, _, rest = spec.partition(":")
+    if kind in ("cyclic", "dihedral"):
+        order = spec_int(rest, f"{kind} expects an integer order, got {spec!r}")
+        grp = make_cyclic(order) if kind == "cyclic" else make_dihedral(order)
+    elif kind == "table":
+        grp = group_from_table_file(rest)
+    else:
+        raise SpecError(f"unknown group spec: {spec!r}")
+    for left in reversed(factors):
+        grp = direct_product(left, grp)
+    return grp

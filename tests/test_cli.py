@@ -172,6 +172,13 @@ class TestGroupCommand:
         assert code == EXIT_PARSE
         assert "exceeds the limit" in err and "Traceback" not in err and out == ""
 
+    def test_long_product_chain(self, capsys):
+        # 2,000 factors: the chain is read in a loop, not one recursion a factor
+        spec = "product:cyclic:1," * 1999 + "cyclic:1"
+        code, out, err = run(capsys, "group", spec, "--n", "1", "--format", "json", "--stable")
+        assert code == EXIT_OK and "Traceback" not in err
+        assert json.loads(out)["params"]["order"] == 1
+
     def test_dihedral_above_the_cap_is_parse_error(self, capsys):
         code, out, err = run(capsys, "group", "dihedral:8000", "--n", "1")
         assert code == EXIT_PARSE

@@ -71,6 +71,13 @@ class TestGaussSums:
             for a in range(m):
                 assert gauss_sum_closed(a, m) == gauss_sum_direct(a, m), (a, m)
 
+    def test_closed_and_direct_print_the_same_json(self):
+        # equal values give equal approx floats, however their terms are stored
+        for m in range(1, 81):
+            for a in range(m):
+                closed = gauss_sum_closed(a, m).to_json_dict()
+                assert closed == gauss_sum_direct(a, m).to_json_dict(), (a, m)
+
     def test_zero_cases(self):
         # a odd, m = 2 mod 4 with gcd stripped gives 0
         assert gauss_sum_closed(1, 2).is_zero()

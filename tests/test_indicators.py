@@ -3,6 +3,7 @@ and the Frobenius divisibility analyzer."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import random
@@ -22,13 +23,16 @@ from fsind.groups import direct_product, group_from_table_file, make_cyclic, mak
 from fsind.cocycles import (
     ThreeCocycle,
     c_omega,
+    cocycle_from_file,
     conjugate_cocycle,
     omega_tilde_root,
     product_cocycle,
     psi,
+    psi_on,
+    restrict,
     trivial_cocycle,
 )
-from fsind.extensions import FAMILIES, GTCategory, parse_family_spec
+from fsind.extensions import FAMILIES, GTCategory, family_suzuki_cyclic, parse_family_spec
 from fsind.indicators import (
     b_p,
     frobenius_check,
@@ -114,6 +118,64 @@ class TestEngines:
     def test_order_profile_of_trivial_cocycle(self):
         w = trivial_cocycle(make_cyclic(6))
         assert w.order_profile == {(1, 0, 0): 1, (2, 0, 0): 1, (3, 0, 0): 2, (6, 0, 0): 2}
+
+
+class TestOrderProfileByCyclicSubgroup:
+    """A normalized cocycle's profile walks one element per cyclic subgroup;
+    the per-element pass (is_cocycle=False) is its oracle."""
+
+    def test_matches_the_per_element_pass(self):
+        cocycles = [
+            *(fam.build(*params).omega for fam in FAMILIES.values() for params in fam.grid),
+            *(psi(big_n, r) for big_n in range(1, 81) for r in range(big_n)),
+        ]
+        for w in cocycles:
+            assert w.is_cocycle, w.label
+            oracle = dataclasses.replace(w, is_cocycle=False).order_profile
+            assert w.order_profile == oracle, w.label
+
+    def test_one_walk_per_cyclic_subgroup_on_z400(self):
+        # Z_400 has one cyclic subgroup of each order d | 400, walked in
+        # d - 1 calls: fewer than sigma(400) = 961 in all, against 89,091
+        # for one walk per element
+        for r in (1, 7):
+            calls = 0
+            w = psi(400, r)
+            f = w.exp_fn
+
+            def counted(g, h, k):
+                nonlocal calls
+                calls += 1
+                return f(g, h, k)
+
+            counted_w = dataclasses.replace(w, exp_fn=counted)
+            assert counted_w.order_profile == w.order_profile
+            assert calls <= 961, (r, calls)
+
+    def test_builders_set_the_field(self, tmp_path):
+        z6 = make_cyclic(6)
+        path = tmp_path / "omega.txt"
+        path.write_text("order 1\n")
+        built = [
+            trivial_cocycle(z6),
+            psi(6, 1),
+            psi_on(z6, 5),
+            family_suzuki_cyclic(1, 2, 1, 1).omega,
+            parse_family_spec("h2n2:3:1").omega,  # omega_from_extension
+            cocycle_from_file(z6, path),
+        ]
+        for w in built:
+            assert w.is_cocycle, w.label
+        assert not ThreeCocycle(z6, 1, lambda g, h, k: 0).is_cocycle
+
+    def test_derived_cocycles_pass_the_field_on(self):
+        bare = ThreeCocycle(make_cyclic(6), 1, lambda g, h, k: 0)
+        for w in (psi(6, 1), bare):
+            assert restrict(w, [0, 2, 4]).is_cocycle == w.is_cocycle
+            assert conjugate_cocycle(w).is_cocycle == w.is_cocycle
+            assert product_cocycle(w, w).is_cocycle == w.is_cocycle
+        assert not product_cocycle(psi(3, 1), bare).is_cocycle
+        assert not product_cocycle(bare, psi(3, 1)).is_cocycle
 
 
 class TestBruteForce:

@@ -25,7 +25,11 @@ COMMANDS = {
     "frobenius_cyclic_5_psi_1": ["frobenius", "--group", "cyclic:5", "--cocycle", "psi:1"],
     "family_bismash_z2_on_z3": ["family", "bismash:z2_on_z3.pair", "--n", "all-divisors", "--check"],
     "table27": ["table27"],
+    "group_dihedral_8": ["group", "dihedral:8", "--n", "all-divisors"],
+    "gauss_1_13": ["gauss", "1", "13"],
+    "gauss_3_8": ["gauss", "3", "8"],
 }
+FORMATS = ("text", "csv", "json")
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
 
 
@@ -41,5 +45,4 @@ def test_stable_output_is_unchanged(case, monkeypatch, capsys):
 
 
 def test_every_command_has_its_files():
-    assert {case.rsplit(".", 1)[0] for case in EXIT_CODES} == set(COMMANDS)
-    assert len(EXIT_CODES) == 2 * len(COMMANDS) + 1  # text and json, and table27 as csv
+    assert set(EXIT_CODES) == {f"{name}.{fmt}" for name in COMMANDS for fmt in FORMATS}

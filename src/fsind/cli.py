@@ -8,6 +8,9 @@ Subcommands:
     frobenius  divisibility analysis over all divisors of the group order
     gauss      direct vs closed-form quadratic Gauss sums
 
+Each subcommand returns one Output (its JSON record, text lines, CSV rows and
+exit code), and main writes it in the chosen --format.
+
 Exit codes: 0 success, 2 parse error, 3 invalid cocycle, 4 Frobenius
 failure, 5 closed-form/brute-force mismatch.
 """
@@ -19,6 +22,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import dataclass
 
 from .cyclotomic import divisors, gauss_sum_closed, gauss_sum_direct
 from .groups import SpecError, parse_group_spec, spec_int
@@ -54,61 +58,78 @@ def parse_n_list(text, group_order=None):
             out.append(spec_int(item, f"bad n value {item!r}"))
     if not out or any(n < 1 for n in out):
         raise SpecError(f"invalid n list {text!r}")
-    seen = set()
-    uniq = []
-    for n in out:
-        if n not in seen:
-            seen.add(n)
-            uniq.append(n)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 # ---------------------------------------------------------------------------
-# output formatting
+# output
 
 
-def _result_row(n, value, method, elapsed, stable):
-    row = {
-        "n": n,
-        "value": value.to_json_dict(),
-        "text": value.render_text(),
-        "method": method,
-    }
-    if not stable:
-        row["elapsed_ms"] = round(elapsed * 1000.0, 3)
-    return row
+@dataclass
+class Output:
+    """What a subcommand prints: its JSON record, text lines, CSV rows (header
+    first) and exit code."""
+
+    record: dict
+    text: list
+    table: list
+    code: int = EXIT_OK
 
 
-def emit(record, fmt, stream=None):
-    stream = stream or sys.stdout
+def write(out, fmt, stream):
     if fmt == "json":
-        json.dump(record, stream, indent=2, sort_keys=True)
+        json.dump(out.record, stream, indent=2, sort_keys=True)
         stream.write("\n")
-        return
-    results = record.get("results", [])
-    if fmt == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(["n", "value", "approx_re", "approx_im", "method"])
-        for row in results:
-            approx = row["value"]["approx"]
-            writer.writerow(
-                [row["n"], row["text"], approx["re"], approx["im"], row["method"]]
-            )
-        return
-    # text
-    header = record.get("title") or record.get("command", "")
-    if header:
-        stream.write(f"# {header}\n")
-    for row in results:
+    elif fmt == "csv":
+        csv.writer(stream).writerows(out.table)
+    else:
+        stream.writelines(line + "\n" for line in out.text)
+
+
+VALUE_COLUMNS = ["n", "value", "approx_re", "approx_im", "method"]
+
+
+def _value_row(n, value, method):
+    return {"n": n, "value": value.to_json_dict(), "text": value.render_text(), "method": method}
+
+
+def _csv_row(row):
+    approx = row["value"]["approx"]
+    return [row["n"], row["text"], approx["re"], approx["im"], row["method"]]
+
+
+def _verdict_line(ok):
+    return f"verdict: {'pass' if ok else 'FAIL'}"
+
+
+def _indicators(args, order, evaluate, **record):
+    """Output of group, gt and family: evaluate(n) -> (value, method), timed,
+    for each n of args.n."""
+    rows = record["results"] = []
+    text = [f"# {record['title']}"]
+    for n in parse_n_list(args.n, order):
+        t0 = time.perf_counter()
+        value, method = evaluate(n)
+        elapsed = time.perf_counter() - t0
+        row = _value_row(n, value, method)
+        if not args.stable:
+            row["elapsed_ms"] = round(elapsed * 1000.0, 3)
+        rows.append(row)
         approx = row["value"]["approx"]
-        stream.write(
-            f"nu_{row['n']} = {row['text']}"
-            f"  (~{approx['re']:.6g}{approx['im']:+.6g}i)  [{row['method']}]\n"
+        text.append(
+            f"nu_{n} = {row['text']}  (~{approx['re']:.6g}{approx['im']:+.6g}i)  [{method}]"
         )
-    for line in record.get("lines", []):
-        stream.write(line + "\n")
-    if "verdict" in record:
-        stream.write(f"verdict: {'pass' if record['verdict'] else 'FAIL'}\n")
+    return Output(record, text, [VALUE_COLUMNS, *map(_csv_row, rows)])
+
+
+def _gt_category(group_spec, cocycle_spec, verify=False):
+    grp = parse_group_spec(group_spec)
+    cocycle = parse_cocycle_spec(cocycle_spec, grp)
+    if verify and not cocycle_spec.startswith("file:"):  # a file is verified on load
+        report = verify_cocycle(cocycle)
+        if not report.ok:
+            raise CocycleError(str(report))
+    return GTCategory(grp, cocycle, label=f"({grp.label},{cocycle.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -117,227 +138,154 @@ def emit(record, fmt, stream=None):
 
 def cmd_group(args):
     grp = parse_group_spec(args.spec)
-    n_list = parse_n_list(args.n, grp.order)
-    results = []
-    for n in n_list:
-        t0 = time.perf_counter()
-        value = nu_group_algebra(grp, n)
-        results.append(
-            _result_row(n, value, "torsion-count", time.perf_counter() - t0, args.stable)
-        )
-    emit(
-        {
-            "command": "group",
-            "title": f"group algebra of {grp.label} (order {grp.order})",
-            "params": {"spec": args.spec, "order": grp.order},
-            "results": results,
-        },
-        args.format,
+    return _indicators(
+        args,
+        grp.order,
+        lambda n: (nu_group_algebra(grp, n), "torsion-count"),
+        command="group",
+        title=f"group algebra of {grp.label} (order {grp.order})",
+        params={"spec": args.spec, "order": grp.order},
     )
-    return EXIT_OK
 
 
 def cmd_gt(args):
-    grp = parse_group_spec(args.group)
-    cocycle = parse_cocycle_spec(args.cocycle, grp)
-    if args.verify and not args.cocycle.startswith("file:"):  # a file is verified on load
-        report = verify_cocycle(cocycle)
-        if not report.ok:
-            raise CocycleError(str(report))
-    cat = GTCategory(grp, cocycle, label=f"({grp.label},{cocycle.label})")
-    n_list = parse_n_list(args.n, grp.order)
-    results = []
-    for n in n_list:
-        t0 = time.perf_counter()
-        value = nu_brute(cat, n)
-        results.append(
-            _result_row(n, value, "brute", time.perf_counter() - t0, args.stable)
-        )
-    emit(
-        {
-            "command": "gt",
-            "title": f"{grp.label} with {cocycle.label}",
-            "params": {"group": args.group, "cocycle": args.cocycle},
-            "results": results,
-        },
-        args.format,
+    cat = _gt_category(args.group, args.cocycle, args.verify)
+    return _indicators(
+        args,
+        cat.group.order,
+        lambda n: (nu_brute(cat, n), "brute"),
+        command="gt",
+        title=f"{cat.group.label} with {cat.omega.label}",
+        params={"group": args.group, "cocycle": args.cocycle},
     )
-    return EXIT_OK
 
 
 def cmd_family(args):
     fam, params = split_family_spec(args.spec)
     cat = fam.build(*params)
-    n_list = parse_n_list(args.n, cat.group.order)
-    results = []
-    mismatch = None
-    for n in n_list:
-        t0 = time.perf_counter()
+    mismatches = []
+
+    def evaluate(n):
         if fam.closed is None:
-            value = nu_brute(cat, n)
-            method = "brute"
+            value, method = nu_brute(cat, n), "brute"
         else:
-            value = fam.closed(*params, n)
-            method = "closed-form"
+            value, method = fam.closed(*params, n), "closed-form"
         if args.check:
             brute = nu_brute(cat, n)
             if value != brute:
-                mismatch = (n, value, brute)
+                mismatches.append(
+                    f"mismatch at n={n}: closed={value.render_text()} "
+                    f"brute={brute.render_text()}"
+                )
             method += "+checked"
-        results.append(
-            _result_row(n, value, method, time.perf_counter() - t0, args.stable)
-        )
-    record = {
-        "command": "family",
-        "title": cat.label,
-        "params": {"spec": args.spec, "order": cat.group.order},
-        "results": results,
-    }
+        return value, method
+
+    out = _indicators(
+        args,
+        cat.group.order,
+        evaluate,
+        command="family",
+        title=cat.label,
+        params={"spec": args.spec, "order": cat.group.order},
+    )
     if args.check:
-        record["verdict"] = mismatch is None
-        if mismatch is not None:
-            n, closed_v, brute_v = mismatch
-            record["lines"] = [
-                f"mismatch at n={n}: closed={closed_v.render_text()} "
-                f"brute={brute_v.render_text()}"
-            ]
-    emit(record, args.format)
-    if mismatch is not None:
-        return EXIT_MISMATCH
-    return EXIT_OK
+        out.record["verdict"] = not mismatches
+        if mismatches:
+            out.record["lines"] = mismatches
+            out.code = EXIT_MISMATCH
+        out.text += [*mismatches, _verdict_line(not mismatches)]
+    return out
 
 
 def _power_name(j):
     return "1" if j == 0 else ("b" if j == 1 else f"b^{j}")
 
 
-def _table27_cell_text(i, j, value):
-    """Compact g(x + y*b^k) rendering for the dimension-27 table column n=3."""
-    if value.conductor == 1:
-        return str(value.as_int())
-    power = (-j) % 3  # exponent of the third root appearing in the closed form
-    if i == 0:
-        return f"3(5 + 4{_power_name(power)})"
-    return f"3(5 - 2{_power_name(power)})"
-
-
 def cmd_table27(args):
-    rows = []
     results = []
+    text = ["H                nu_1  nu_3        nu_9  nu_27"]
+    table = [["row", "nu_1", "nu_3", "nu_9", "nu_27"]]
     for j in (0, 1, 2):
         for i in (0, 1):
             label = f"H27({_power_name(i)},{_power_name(j)})"
             values = [nu_hn3_closed(3, i, (-j) % 3, n) for n in (1, 3, 9, 27)]
-            rows.append((label, (i, j), values))
             for n, v in zip((1, 3, 9, 27), values):
                 results.append(
-                    {
-                        "row": label,
-                        "n": n,
-                        "value": v.to_json_dict(),
-                        "text": v.render_text(),
-                    }
+                    {"row": label, "n": n, "value": v.to_json_dict(), "text": v.render_text()}
                 )
-    if args.format == "json":
-        emit({"command": "table27", "results27": results}, "json")
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["row", "nu_1", "nu_3", "nu_9", "nu_27"])
-        for label, _, values in rows:
-            writer.writerow([label] + [v.render_text() for v in values])
-    else:
-        print("H                nu_1  nu_3        nu_9  nu_27")
-        for label, (i, j), values in rows:
-            cells = [
-                str(values[0].as_int()),
-                _table27_cell_text(i, j, values[1]),
-                str(values[2].as_int()),
-                str(values[3].as_int()),
-            ]
-            print(f"{label:<16} {cells[0]:<5} {cells[1]:<11} {cells[2]:<5} {cells[3]}")
-    return EXIT_OK
-
-
-def _target_category(args):
-    if args.family:
-        return parse_family_spec(args.family)
-    if not args.group:
-        raise SpecError("frobenius needs --family or --group")
-    grp = parse_group_spec(args.group)
-    cocycle = parse_cocycle_spec(args.cocycle or "trivial", grp)
-    return GTCategory(grp, cocycle, label=f"({grp.label},{cocycle.label})")
+            cells = [v.render_text() for v in values]
+            table.append([label, *cells])
+            if values[1].conductor != 1:
+                # nu_3 as 3(5 + 4b^k) or 3(5 - 2b^k), b^k the third root in the closed form
+                cells[1] = f"3(5 {'+ 4' if i == 0 else '- 2'}{_power_name((-j) % 3)})"
+            text.append(f"{label:<16} {cells[0]:<5} {cells[1]:<11} {cells[2]:<5} {cells[3]}")
+    return Output({"command": "table27", "results27": results}, text, table)
 
 
 def cmd_frobenius(args):
-    report = frobenius_check(_target_category(args))
+    if args.family:
+        if args.cocycle is not None:
+            raise SpecError("--cocycle goes with --group, not --family")
+        cat = parse_family_spec(args.family)
+    else:
+        cat = _gt_category(args.group, args.cocycle or "trivial")
+    report = frobenius_check(cat)
+    title = (
+        f"Frobenius divisibility for {report.label} "
+        f"(order {report.group_order}, c(omega)={report.c_omega})"
+    )
     lines = []
-    results = []
+    entries = []
+    table = [["n", "value", "divisible_by_n", "p", "divisible_by_n_over_sqrt_p"]]
     for e in report.entries:
-        flag = "ok" if e.divisible_by_n else "FAIL"
-        extra = ""
-        if e.divisible_by_n_over_sqrt_p is not None:
-            extra = (
-                f"  n/sqrt({e.p}): "
-                + ("ok" if e.divisible_by_n_over_sqrt_p else "FAIL")
-            )
-        elif e.note:
-            extra = f"  ({e.note})"
-        lines.append(f"n={e.n}: nu={e.value.render_text()}  n|nu: {flag}{extra}")
-        results.append(
-            {
-                "n": e.n,
-                "value": e.value.to_json_dict(),
-                "text": e.value.render_text(),
-                "divisible_by_n": e.divisible_by_n,
-                "p": e.p,
-                "divisible_by_n_over_sqrt_p": e.divisible_by_n_over_sqrt_p,
-                "method": "brute",
-            }
+        row = _value_row(e.n, e.value, "brute")
+        row.update(
+            divisible_by_n=e.divisible_by_n,
+            p=e.p,
+            divisible_by_n_over_sqrt_p=e.divisible_by_n_over_sqrt_p,
         )
+        entries.append(row)
+        table.append([e.n, row["text"], e.divisible_by_n, e.p, e.divisible_by_n_over_sqrt_p])
+        extra = f"  ({e.note})" if e.note else ""
+        if e.divisible_by_n_over_sqrt_p is not None:
+            extra = f"  n/sqrt({e.p}): {'ok' if e.divisible_by_n_over_sqrt_p else 'FAIL'}"
+        flag = "ok" if e.divisible_by_n else "FAIL"
+        lines.append(f"n={e.n}: nu={row['text']}  n|nu: {flag}{extra}")
     record = {
         "command": "frobenius",
-        "title": f"Frobenius divisibility for {report.label} "
-        f"(order {report.group_order}, c(omega)={report.c_omega})",
+        "title": title,
         "params": {"c_omega": report.c_omega, "order": report.group_order},
-        "entries": results,
+        "entries": entries,
         "lines": lines,
         "verdict": report.verdict,
     }
-    if args.format == "json":
-        emit(record, "json")
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "value", "divisible_by_n", "p", "divisible_by_n_over_sqrt_p"])
-        for r in results:
-            writer.writerow(
-                [r["n"], r["text"], r["divisible_by_n"], r["p"], r["divisible_by_n_over_sqrt_p"]]
-            )
-    else:
-        emit({"title": record["title"], "lines": lines, "verdict": record["verdict"], "results": []}, "text")
-    return EXIT_OK if report.verdict else EXIT_FROBENIUS
+    return Output(
+        record,
+        [f"# {title}", *lines, _verdict_line(report.verdict)],
+        table,
+        EXIT_OK if report.verdict else EXIT_FROBENIUS,
+    )
 
 
 def cmd_gauss(args):
     direct = gauss_sum_direct(args.a, args.m)
     closed = gauss_sum_closed(args.a, args.m)
     equal = direct == closed
+    title = f"S({args.a}, {args.m})"
+    rows = [_value_row(args.m, direct, "direct"), _value_row(args.m, closed, "closed")]
     record = {
         "command": "gauss",
-        "title": f"S({args.a}, {args.m})",
+        "title": title,
         "params": {"a": args.a, "m": args.m},
-        "results": [
-            _result_row(args.m, direct, "direct", 0.0, True),
-            _result_row(args.m, closed, "closed", 0.0, True),
-        ],
+        "results": rows,
         "verdict": equal,
     }
-    if args.format == "text":
-        print(f"S({args.a}, {args.m}) direct = {direct.render_text()}")
-        print(f"S({args.a}, {args.m}) closed = {closed.render_text()}")
-        print(f"verdict: {'pass' if equal else 'FAIL'}")
-    else:
-        emit(record, args.format)
-    return EXIT_OK if equal else EXIT_MISMATCH
+    return Output(
+        record,
+        [f"{title} {row['method']} = {row['text']}" for row in rows] + [_verdict_line(equal)],
+        [VALUE_COLUMNS, *map(_csv_row, rows)],
+        EXIT_OK if equal else EXIT_MISMATCH,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +329,10 @@ def build_parser():
     p.set_defaults(func=cmd_table27)
 
     p = sub.add_parser("frobenius", help="Frobenius divisibility analysis")
-    p.add_argument("--family")
-    p.add_argument("--group")
-    p.add_argument("--cocycle")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--family")
+    target.add_argument("--group")
+    p.add_argument("--cocycle", help="with --group (default trivial)")
     common(p)
     p.set_defaults(func=cmd_frobenius)
 
@@ -397,20 +346,21 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, which matches our parse-error code
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        out = args.func(args)
+        write(out, args.format, sys.stdout)
     except CocycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COCYCLE
     except (ValueError, OSError) as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    return out.code
 
 
 if __name__ == "__main__":

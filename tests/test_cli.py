@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from fsind import cli, cocycles
 from fsind.cocycles import verify_cocycle
+from fsind.cyclotomic import divisors, gauss_sum_closed
 from fsind.extensions import FAMILIES, bicrossed_product, h2n2_pair
+from fsind.indicators import nu_brute
 from fsind.cli import (
     EXIT_COCYCLE,
     EXIT_FROBENIUS,
@@ -346,6 +349,28 @@ class TestFamilyCommand:
         assert "closed-form+checked" in out
         assert "verdict: pass" in out
 
+    def test_check_reports_every_mismatch(self, capsys, monkeypatch):
+        # a closed form that answers nu_1 at every n: wrong wherever nu_n != 1
+        fam = FAMILIES["h2n2"]
+        wrong = dataclasses.replace(fam, closed=lambda *params: fam.closed(*params[:-1], 1))
+        monkeypatch.setitem(FAMILIES, "h2n2", wrong)
+        cat = fam.build(3, 1)
+        expected = [
+            f"mismatch at n={n}: closed=1 brute={nu_brute(cat, n).render_text()}"
+            for n in divisors(cat.group.order)
+            if n > 1
+        ]
+        assert len(expected) == 5
+        argv = ["family", "h2n2:3:1", "--n", "all-divisors", "--check", "--stable"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_MISMATCH
+        assert [line for line in out.splitlines() if line.startswith("mismatch")] == expected
+        assert out.endswith("verdict: FAIL\n")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        record = json.loads(out)
+        assert code == EXIT_MISMATCH
+        assert record["verdict"] is False and record["lines"] == expected
+
     def test_bismash_uses_brute(self, capsys, tmp_path):
         path = tmp_path / "pair.txt"
         path.write_text("F cyclic:2\nG cyclic:3\n")
@@ -447,6 +472,16 @@ class TestFrobeniusCommand:
         code, _, err = run(capsys, "frobenius")
         assert code == EXIT_PARSE
 
+    def test_ambiguous_target(self, capsys):
+        for argv in (
+            ["--family", "h2n2:3:1", "--group", "cyclic:5"],
+            ["--family", "h2n2:3:1", "--group", "cyclic:5", "--cocycle", "psi:1"],
+            ["--family", "h2n2:3:1", "--cocycle", "psi:1"],
+        ):
+            code, out, err = run(capsys, "frobenius", *argv)
+            assert code == EXIT_PARSE, argv
+            assert out == "" and "Traceback" not in err
+
     def test_unknown_family_is_parse_error(self, capsys):
         code, _, err = run(capsys, "frobenius", "--family", "nope:1")
         assert code == EXIT_PARSE
@@ -471,6 +506,15 @@ class TestGaussCommand:
         assert code == EXIT_OK
         record = json.loads(out)
         assert record["verdict"] is True
+
+    def test_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gauss_sum_closed", lambda a, m: -gauss_sum_closed(a, m))
+        outs = {}
+        for fmt in ("text", "csv", "json"):
+            code, outs[fmt], _ = run(capsys, "gauss", "1", "13", "--format", fmt)
+            assert code == EXIT_MISMATCH, fmt
+        assert "verdict: FAIL" in outs["text"]
+        assert json.loads(outs["json"])["verdict"] is False
 
 
 class TestUsageErrors:

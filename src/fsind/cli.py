@@ -28,7 +28,7 @@ from .cyclotomic import divisors, gauss_sum_closed, gauss_sum_direct
 from .groups import SpecError, parse_group_spec, spec_int
 from .cocycles import CocycleError, parse_cocycle_spec, verify_cocycle
 from .extensions import GTCategory, parse_family_spec, split_family_spec
-from .indicators import frobenius_check, nu_brute, nu_group_algebra, nu_hn3_closed
+from .indicators import frobenius_check, nu_brute, nu_group_algebra, nu_hn3_closed, nu_literal
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -166,16 +166,18 @@ def cmd_family(args):
     mismatches = []
 
     def evaluate(n):
-        if fam.closed is None:
-            value, method = nu_brute(cat, n), "brute"
+        if fam.closed is None:  # checked against the direct sum, the oracle engine
+            value, method, name = nu_brute(cat, n), "brute", "brute"
+            oracle, oracle_name = nu_literal, "literal"
         else:
-            value, method = fam.closed(*params, n), "closed-form"
+            value, method, name = fam.closed(*params, n), "closed-form", "closed"
+            oracle, oracle_name = nu_brute, "brute"
         if args.check:
-            brute = nu_brute(cat, n)
-            if value != brute:
+            ref = oracle(cat, n)
+            if value != ref:
                 mismatches.append(
-                    f"mismatch at n={n}: closed={value.render_text()} "
-                    f"brute={brute.render_text()}"
+                    f"mismatch at n={n}: {name}={value.render_text()} "
+                    f"{oracle_name}={ref.render_text()}"
                 )
             method += "+checked"
         return value, method

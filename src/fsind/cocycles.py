@@ -28,7 +28,9 @@ class ThreeCocycle:
     """A 3-cocycle on `group` valued in value_order-th roots of unity.
 
     `exp_fn(g, h, k)` depends on k only through k // block; the exact check
-    reads one k per block (see verify_cocycle).
+    reads one k per block (see verify_cocycle).  A block b > 1 also claims
+    that exp_fn reads g only through g % b, and the check builds one slice
+    omega(g, ., .) per g % b.  b = 1 claims nothing of either argument.
 
     `is_cocycle` claims that exp_fn is a normalized 3-cocycle, and lets
     order_profile walk one element per cyclic subgroup.  It is set by the
@@ -186,6 +188,14 @@ def verify_cocycle(cocycle, mode="auto"):
     violation is reported at the first l of its block, the first l at
     which it occurs, so the report is the one block = 1 gives.
 
+    With b > 1, f also reads its first argument only through its block
+    residue (f(h, k, l) = f(h % b, k, l)), so the slices f(h, ., .) that the
+    check reads are the same for every h with the same h % b.  Each is built
+    once and kept: at most b slices of |G|^2 / b values, in place of one
+    slice per h and generator.  The values read, and so the report, are
+    the same.  With b = 1 nothing is claimed, and each slice is built afresh
+    and dropped.
+
     Mode "full" ignores the block and checks all |G|^4 quadruples, the
     definition, kept as the reference.  In every mode a normalization
     failure at (g, h) reports the g * |G| + h + 1 pairs decided.
@@ -223,8 +233,15 @@ def verify_cocycle(cocycle, mode="auto"):
     # index would return it bare)
     at_kl = [itemgetter(*[mul(k, r) // blk for r in reps]) if n > blk else list for k in range(n)]
 
+    slices = {}  # blk > 1 claims f(h, k, l) = f(h % blk, k, l): one slice per residue
+
     def slice_of(h):  # f(h, k, l) for every k and one l per block
-        return [[f(h, k, r) for r in reps] for k in range(n)]
+        w = slices.get(h % blk)
+        if w is None:
+            w = [[f(h, k, r) for r in reps] for k in range(n)]
+            if blk > 1:
+                slices[h % blk] = w
+        return w
 
     for s in grp.generators():
         w, seen = slice_of(s), [False] * n

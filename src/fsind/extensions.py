@@ -122,10 +122,12 @@ class GTCategory:
 def omega_from_extension(data, verify=True, label=None):
     """Induce the 3-cocycle on the bicrossed product from (sigma, tau).
 
-    omega reads its third argument r only through its F-part r // |G|, so
-    the cocycle carries block = |G|.  Its blocks are the left cosets of the
-    subgroup G = {0..|G|-1}, since (x, g)(1, h) = (x, gh), and the exact
-    check (verify=True) reads one r per block: |F| in place of |F|*|G|.
+    omega reads its third argument r only through its F-part r // |G|, and
+    its first argument p only through its G-part p % |G|, so the cocycle
+    carries block = |G|.  Its blocks are the left cosets of the subgroup
+    G = {0..|G|-1}, since (x, g)(1, h) = (x, gh), and the exact check
+    (verify=True) reads one r per block, |F| in place of |F|*|G|, and builds
+    one slice omega(p, ., .) per G-part.
 
     The cocycle is marked is_cocycle.  With verify=False that trusts the
     data: sigma and tau must satisfy the extension equations, or the order

@@ -381,6 +381,23 @@ class TestFamilyCommand:
         assert "[brute]" in out
         assert "nu_6 = 6" in out
 
+    def test_bismash_check_compares_brute_with_literal(self, capsys, monkeypatch, tmp_path):
+        # without a closed form --check compares the profile engine with the
+        # direct sum; an oracle that answers nu_1 at every n must be caught
+        monkeypatch.setattr(cli, "nu_literal", lambda cat, n: nu_brute(cat, 1))
+        path = tmp_path / "pair.txt"
+        path.write_text("F cyclic:2\nG cyclic:3\n")
+        code, out, _ = run(
+            capsys, "family", f"bismash:{path}", "--n", "1,2,3,6", "--check", "--stable"
+        )
+        assert code == EXIT_MISMATCH
+        assert [line for line in out.splitlines() if line.startswith("mismatch")] == [
+            "mismatch at n=2: brute=2 literal=1",
+            "mismatch at n=3: brute=3 literal=1",
+            "mismatch at n=6: brute=6 literal=1",
+        ]
+        assert out.endswith("verdict: FAIL\n")
+
     def test_field_errors_name_the_fields(self, capsys):
         for spec, expected in (
             ("h2n2:3", "h2n2 expects N:xi"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import random
 from itertools import product, repeat
 
 import pytest
@@ -294,6 +295,17 @@ class TestCosetBlocks:
                 row = list(map(f, repeat(g, n), repeat(h, n), range(n)))
                 assert all(len(set(row[r:r + b])) == 1 for r in range(0, n, b)), (spec, g, h)
 
+    def test_extension_cocycles_read_the_first_argument_by_block(self):
+        # omega(g, h, k) = omega(g % b, h, k): every g, on a fixed sample of
+        # 400 pairs (h, k) (all |G|^3 triples take seconds)
+        for spec, cat in EXTENSION_GRID:
+            w = cat.omega
+            f, n, b = w.exp_fn, w.group.order, w.block
+            pairs = random.Random(spec).sample(list(product(range(n), repeat=2)), min(n * n, 400))
+            hs, ks = zip(*pairs)
+            rows = [list(map(f, repeat(g, len(pairs)), hs, ks)) for g in range(n)]
+            assert all(rows[g] == rows[g % b] for g in range(n)), spec
+
     def test_block_report_equals_the_one_block_report(self):
         for spec, cat in EXTENSION_GRID:
             report = verify_cocycle(cat.omega)
@@ -363,19 +375,33 @@ class TestCosetBlocks:
         assert [d.block for d in derived] == [1] * len(derived)
 
     def test_generator_check_reads_one_l_per_block(self):
-        # hn3:5:1:1: normalization 125 * (5 + 5 + 125) calls, then for each of
-        # the two generators 126 slices of 125 x 5 calls
+        # hn3:5:1:1 (|G| = 25): normalization 125 * (5 + 5 + 125) calls, then
+        # one slice of 125 x 5 calls per G-part, shared by both generators
         w = parse_family_spec("hn3:5:1:1").omega
-        calls = [0]
-        f = w.exp_fn
-
-        def counted(g, h, k):
-            calls[0] += 1
-            return f(g, h, k)
-
+        calls, counted = _counted(w.exp_fn)
         report = verify_cocycle(dataclasses.replace(w, exp_fn=counted))
         assert report.ok and report.checked == 2 * 125**3
-        assert calls[0] <= 174_375
+        assert calls[0] <= 32_500
+        assert report == verify_cocycle(dataclasses.replace(w, block=1))
+
+    def test_one_block_check_builds_every_slice(self):
+        # with block 1 nothing is claimed of the first argument: the walk
+        # builds each slice afresh and keeps none
+        w = psi(12, 5)
+        calls, counted = _counted(w.exp_fn)
+        assert verify_cocycle(dataclasses.replace(w, exp_fn=counted)).ok
+        assert calls[0] == 2_304
+
+
+def _counted(f):
+    """([number of calls so far], f counting its calls)."""
+    calls = [0]
+
+    def counted(g, h, k):
+        calls[0] += 1
+        return f(g, h, k)
+
+    return calls, counted
 
 
 class TestOmegaTilde:

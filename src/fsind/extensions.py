@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 from .cocycles import CocycleError, ThreeCocycle, trivial_cocycle, verify_cocycle
@@ -38,50 +39,59 @@ from .indicators import (
 
 @dataclass
 class MatchedPair:
-    """Groups F, G with right action g <| x on G and left action g |> x in F."""
+    """Groups F, G with their action tables, each |G| rows of |F| entries:
+    act_left[g][y] = g |> y in F and act_right[g][y] = g <| y in G.
+
+    Construction is the one check of the tables: their shape, every value in
+    range (so a negative one never wraps round as a list index), and the
+    identity rows and columns.  The compatibility conditions are left to the
+    group-axiom check of bicrossed_product.
+    """
 
     F: FiniteGroup
     G: FiniteGroup
-    act_right: Callable[[int, int], int]  # (g, x) -> g <| x in G
-    act_left: Callable[[int, int], int]  # (g, x) -> g |> x in F
+    act_right: list  # act_right[g][y] = g <| y in G
+    act_left: list  # act_left[g][y] = g |> y in F
 
     def __post_init__(self):
-        for x in range(self.F.order):
-            if self.act_left(0, x) != x:
-                raise ValueError("identity of G must act trivially on F")
-            if self.act_right(0, x) != 0:
-                raise ValueError("1 <| x must be 1")
-        for g in range(self.G.order):
-            if self.act_right(g, 0) != g:
-                raise ValueError("identity of F must act trivially on G")
-            if self.act_left(g, 0) != 0:
-                raise ValueError("g |> 1 must be 1")
+        nf, ng = self.F.order, self.G.order
+        left, right = self.act_left, self.act_right
+        for table, act, bound in ((left, "g |> y", nf), (right, "g <| y", ng)):
+            if len(table) != ng or set(map(len, table)) != {nf}:
+                raise ValueError(f"action {act} needs |G| = {ng} rows of |F| = {nf} entries")
+            for g, row in enumerate(table):
+                if min(row) < 0 or max(row) >= bound:
+                    y = next(y for y, v in enumerate(row) if not 0 <= v < bound)
+                    raise ValueError(
+                        f"action {act} at (g, y) = {(g, y)} is {row[y]!r}, out of range 0..{bound - 1}"
+                    )
+        if list(left[0]) != list(range(nf)):
+            raise ValueError("identity of G must act trivially on F")
+        if any(right[0]):
+            raise ValueError("1 <| x must be 1")
+        if list(map(itemgetter(0), right)) != list(range(ng)):
+            raise ValueError("identity of F must act trivially on G")
+        if any(map(itemgetter(0), left)):
+            raise ValueError("g |> 1 must be 1")
 
 
 def trivial_pair(f_group, g_group):
-    return MatchedPair(f_group, g_group, lambda g, x: g, lambda g, x: x)
+    nf, ng = f_group.order, g_group.order
+    return MatchedPair(f_group, g_group, [[g] * nf for g in range(ng)], [range(nf)] * ng)
 
 
-def bicrossed_product(pair, label=None, check=True):
-    """The group F |><| G on pairs (x, g) encoded as x*|G| + g.
+def bicrossed_product(pair, label=None):
+    """The group F |><| G on pairs (x, g) encoded as x*|G| + g, built from
+    the pair's checked action tables.
 
     Construction runs the exact group-axiom check, which is what validates
     the matched-pair compatibility conditions.
     """
-    nf, ng = pair.F.order, pair.G.order
-    left = [[pair.act_left(g, y) for y in range(nf)] for g in range(ng)]
-    right = [[pair.act_right(g, y) for y in range(nf)] for g in range(ng)]
-    # a negative value would wrap round as a list index
-    for table, act, bound in ((left, "g |> y", nf), (right, "g <| y", ng)):
-        for g, row in enumerate(table):
-            if min(row) < 0 or max(row) >= bound:
-                y = next(y for y, v in enumerate(row) if not 0 <= v < bound)
-                raise ValueError(
-                    f"action {act} at (g, y) = {(g, y)} is {row[y]!r}, out of range 0..{bound - 1}"
-                )
-    rows = bicrossed_rows(pair.F, pair.G, left, right)
-    name = label or f"({pair.F.label}|><|{pair.G.label})"
-    return FiniteGroup(nf * ng, rows, label=name, check=check)
+    return FiniteGroup(
+        pair.F.order * pair.G.order,
+        bicrossed_rows(pair.F, pair.G, pair.act_left, pair.act_right),
+        label=label or f"({pair.F.label}|><|{pair.G.label})",
+    )
 
 
 def power_iteration(pair, x, g, n):
@@ -90,8 +100,8 @@ def power_iteration(pair, x, g, n):
         raise ValueError("n must be positive")
     xn, gn = x, g
     for _ in range(n - 1):
-        xn = pair.F.mul(x, pair.act_left(g, xn))
-        gn = pair.G.mul(pair.act_right(gn, x), g)
+        xn = pair.F.mul(x, pair.act_left[g][xn])
+        gn = pair.G.mul(pair.act_right[gn][x], g)
     return xn, gn
 
 
@@ -145,7 +155,7 @@ def omega_from_extension(data, verify=True, label=None):
         y_f, y_g = divmod(q, ng)
         x_g = p % ng
         z_f = r // ng
-        return sigma(x_g, y_f, act_l(y_g, z_f)) + tau(act_r(x_g, y_f), y_g, z_f)
+        return sigma(x_g, y_f, act_l[y_g][z_f]) + tau(act_r[x_g][y_f], y_g, z_f)
 
     omega = ThreeCocycle(
         grp, data.value_order, exp_fn, label=f"omega[{data.label}]", block=ng, is_cocycle=True
@@ -163,14 +173,8 @@ def omega_from_extension(data, verify=True, label=None):
 
 def h2n2_pair(n):
     g_group = direct_product(make_cyclic(n), make_cyclic(n))
-
-    def act_right(g, x):
-        if x % 2 == 0:
-            return g
-        i, j = divmod(g, n)
-        return j * n + i
-
-    return MatchedPair(make_cyclic(2), g_group, act_right, lambda g, x: x)
+    swap = [[i * n + j, j * n + i] for i in range(n) for j in range(n)]
+    return MatchedPair(make_cyclic(2), g_group, swap, [range(2)] * (n * n))
 
 
 def family_h2n2(n, xi_exp):
@@ -201,12 +205,8 @@ def family_h2n2(n, xi_exp):
 
 def hn3_pair(n):
     g_group = direct_product(make_cyclic(n), make_cyclic(n))
-
-    def act_right(g, a):
-        i, j = divmod(g, n)
-        return ((i + a * j) % n) * n + j
-
-    return MatchedPair(make_cyclic(n), g_group, act_right, lambda g, x: x)
+    shear = [[(i + a * j) % n * n + j for a in range(n)] for i in range(n) for j in range(n)]
+    return MatchedPair(make_cyclic(n), g_group, shear, [range(n)] * (n * n))
 
 
 def family_hn3(n, xi_exp, zeta_exp, lambda_exp=None):
@@ -254,14 +254,13 @@ def suzuki_cyclic_group(n, l):
     """The order-4NL group <b, r, s | b^2N = r^L = s^2 = 1, srs = r^-1,
     brb^-1 = r^-1, bsb^-1 = r^-1 s>, encoded as i*2L + (2j+k) for b^i r^j s^k.
 
-    It is Z_2N |><| D_2L with trivial left action and d <| i = bar^i(d)."""
+    It is the bicrossed product Z_2N |><| D_2L of the pair with trivial left
+    action and d <| i = bar^i(d)."""
     check_order(4 * n * l)
     two_l = 2 * l
-    flip = [_dihedral_bar(d, l) for d in range(two_l)]
-    left = [range(2 * n)] * two_l
-    right = [[d, flip[d]] * n for d in range(two_l)]
-    rows = bicrossed_rows(make_cyclic(2 * n), make_dihedral(two_l), left, right)
-    return FiniteGroup(4 * n * l, rows, label=f"Gamma_{n},{l}", check=True)
+    flip = [[d, _dihedral_bar(d, l)] * n for d in range(two_l)]
+    pair = MatchedPair(make_cyclic(2 * n), make_dihedral(two_l), flip, [range(2 * n)] * two_l)
+    return bicrossed_product(pair, label=f"Gamma_{n},{l}")
 
 
 def family_suzuki_cyclic(n, l, alpha, beta, eta_exp=None):
@@ -325,11 +324,11 @@ def family_suzuki_cyclic(n, l, alpha, beta, eta_exp=None):
 def suzuki_noncyclic_pair(n, l):
     """Matched pair with G = Z_N x Z_2 (a^i b^j), F = D_2L; b acts by the flip."""
     g_group = direct_product(make_cyclic(n), make_cyclic(2))
-
-    def act_left(g, x):
-        return _dihedral_bar(x, l) if g % 2 else x
-
-    return MatchedPair(make_dihedral(2 * l), g_group, lambda g, x: g, act_left)
+    two_l = 2 * l
+    flip = [_dihedral_bar(x, l) for x in range(two_l)]
+    left = [flip if g % 2 else range(two_l) for g in range(2 * n)]
+    right = [[g] * two_l for g in range(2 * n)]
+    return MatchedPair(make_dihedral(two_l), g_group, right, left)
 
 
 def family_suzuki_noncyclic(n, l, beta):
@@ -365,10 +364,10 @@ def family_suzuki_noncyclic(n, l, beta):
 # bismash products and spec parsing
 
 
-def family_bismash(pair, label=None):
+def family_bismash(pair):
     """The bismash product category: trivial sigma and tau, trivial cocycle."""
-    grp = bicrossed_product(pair, label=label)
-    return GTCategory(grp, trivial_cocycle(grp), label=label or f"bismash[{grp.label}]")
+    grp = bicrossed_product(pair)
+    return GTCategory(grp, trivial_cocycle(grp), label=f"bismash[{grp.label}]")
 
 
 def pair_from_file(path):
@@ -409,13 +408,12 @@ def pair_from_file(path):
             raise SpecError(f"unexpected line in pair file: {' '.join(head)!r}")
     if len(groups) < 2:
         raise SpecError("pair file must declare both F and G")
-    left = tables.get("act_left")
-    right = tables.get("act_right")
+    nf, ng = groups["F"].order, groups["G"].order
     return MatchedPair(
         groups["F"],
         groups["G"],
-        (lambda g, x: right[g][x]) if right else (lambda g, x: g),
-        (lambda g, x: left[g][x]) if left else (lambda g, x: x),
+        tables.get("act_right") or [[g] * nf for g in range(ng)],
+        tables.get("act_left") or [range(nf)] * ng,
     )
 
 

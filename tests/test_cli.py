@@ -203,7 +203,7 @@ class TestGroupCommand:
         # the order-338 bicrossed product of h2n2_pair(13) with entry
         # (155, 216) moved by 260: the former 100k-triple sampled
         # associativity check accepted it and printed nu_2 = 14
-        grp = bicrossed_product(h2n2_pair(13), check=False)
+        grp = bicrossed_product(h2n2_pair(13))
         n = grp.order
         rows = [[grp.mul(g, h) for h in range(n)] for g in range(n)]
         rows[155][216] = (rows[155][216] + 260) % n
@@ -426,6 +426,8 @@ class TestFamilyCommand:
     @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n0 2 1\n")
     @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n1 2 0\n")
     @example("F cyclic:2\nG cyclic:3\nact_right\n0 0\n1 2\n2 1\n")
+    @example("F cyclic:2\nG cyclic:3\nact_right\n0 0\n1 2\n2 1\nF cyclic:3\n")
+    @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n0 2 1\nG cyclic:3\n")
     def test_pair_file_fuzz_exits_cleanly(self, body):
         code, err = run_on_file(["family", "bismash:{path}", "--n", "1,2", "--stable"], body)
         assert code in (EXIT_OK, EXIT_PARSE), (body, code, err)

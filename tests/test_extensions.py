@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from itertools import permutations
 
 import pytest
@@ -35,6 +36,9 @@ from fsind.extensions import (
 from fsind.indicators import nu_brute
 
 
+FIXED = [[0, 0, 0], [1, 1, 1]]  # the trivial right action of Z_2 on Z_3
+
+
 class TestMatchedPairs:
     def test_trivial_pair_gives_direct_product(self):
         pair = trivial_pair(make_cyclic(3), make_cyclic(4))
@@ -42,28 +46,36 @@ class TestMatchedPairs:
         assert grp.order == 12 and grp.exponent() == 12
 
     def test_identity_axioms_enforced(self):
-        with pytest.raises(ValueError):
-            MatchedPair(
-                make_cyclic(3),
-                make_cyclic(2),
-                lambda g, x: g,
-                lambda g, x: (x + g) % 3,  # identity of G must act trivially
-            )
+        for right, left, message in (
+            (FIXED, [[0, 2, 1], [0, 1, 2]], "identity of G must act trivially on F"),
+            ([[0, 1, 0], [1, 1, 1]], [[0, 1, 2]] * 2, "1 <| x must be 1"),
+            ([[0, 0, 0], [0, 1, 1]], [[0, 1, 2]] * 2, "identity of F must act trivially on G"),
+            (FIXED, [[0, 1, 2], [1, 2, 0]], "g |> 1 must be 1"),  # g |> y = y + g
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                MatchedPair(make_cyclic(3), make_cyclic(2), right, left)
 
     def test_negative_action_value_is_rejected(self):
         # -y mod 3 would be the inversion action, a valid matched pair
-        pair = MatchedPair(
-            make_cyclic(3), make_cyclic(2), lambda g, x: g, lambda g, x: -x if g else x
-        )
         with pytest.raises(ValueError, match=r"g \|> y at \(g, y\) = \(1, 1\) is -1, out of"):
-            bicrossed_product(pair)
+            MatchedPair(make_cyclic(3), make_cyclic(2), FIXED, [[0, 1, 2], [0, -1, -2]])
 
     def test_action_value_past_the_factor_is_rejected(self):
-        pair = MatchedPair(
-            make_cyclic(3), make_cyclic(2), lambda g, x: g, lambda g, x: x + 2 if g and x else x
-        )
         with pytest.raises(ValueError, match=r"g \|> y at \(g, y\) = \(1, 1\) is 3, out of"):
-            bicrossed_product(pair)
+            MatchedPair(make_cyclic(3), make_cyclic(2), FIXED, [[0, 1, 2], [0, 3, 4]])
+
+    @pytest.mark.parametrize(
+        "right, left",
+        [
+            (FIXED, [[0, 1, 2], [0, 2]]),  # a short row
+            (FIXED, [[0, 1, 2]]),  # a missing row
+            ([[0, 0, 0], [1, 1]], [[0, 1, 2], [0, 2, 1]]),
+            ([[0, 0, 0]], [[0, 1, 2], [0, 2, 1]]),
+        ],
+    )
+    def test_ragged_action_table_is_rejected(self, right, left):
+        with pytest.raises(ValueError, match=r"needs \|G\| = 2 rows of \|F\| = 3 entries"):
+            MatchedPair(make_cyclic(3), make_cyclic(2), right, left)
 
     def test_bicrossed_is_a_group(self):
         for pair in (h2n2_pair(3), hn3_pair(3), suzuki_noncyclic_pair(2, 2)):
@@ -92,7 +104,7 @@ def bicrossed_mul(pair):
     def mul(p, q):
         x, g = divmod(p, ng)
         y, h = divmod(q, ng)
-        return pair.F.mul(x, pair.act_left(g, y)) * ng + pair.G.mul(pair.act_right(g, y), h)
+        return pair.F.mul(x, pair.act_left[g][y]) * ng + pair.G.mul(pair.act_right[g][y], h)
 
     return mul
 
@@ -125,11 +137,6 @@ def assert_matches_closure(grp, mul):
         assert grp.element_order(g) == k, (grp, g)
 
 
-def table_pair(f_group, g_group, left, right):
-    """A matched pair given by action tables left[g][y] and right[g][y]."""
-    return MatchedPair(f_group, g_group, lambda g, y: right[g][y], lambda g, y: left[g][y])
-
-
 @st.composite
 def semidirect_pairs(draw):
     """Z_m |x Z_k with g |> y = u^g y, or Z_k |x< Z_m with g <| y = u^y g,
@@ -139,9 +146,9 @@ def semidirect_pairs(draw):
     zm, zk = make_cyclic(m), make_cyclic(k)
     if draw(st.booleans()):
         left = [[pow(u, g, m) * y % m for y in range(m)] for g in range(k)]
-        return table_pair(zm, zk, left, [[g] * m for g in range(k)])
+        return MatchedPair(zm, zk, [[g] * m for g in range(k)], left)
     right = [[pow(u, y, m) * g % m for y in range(k)] for g in range(m)]
-    return table_pair(zk, zm, [list(range(k))] * m, right)
+    return MatchedPair(zk, zm, right, [list(range(k))] * m)
 
 
 def symmetric_factorization(n):
@@ -177,7 +184,7 @@ def symmetric_factorization(n):
         right.append(rrow)
     f_group = FiniteGroup(len(f_elems), lambda a, b: f_index[compose(f_elems[a], f_elems[b])])
     g_group = FiniteGroup(n, lambda a, b: g_index[compose(g_elems[a], g_elems[b])])
-    return table_pair(f_group, g_group, left, right)
+    return MatchedPair(f_group, g_group, right, left)
 
 
 class TestBuilders:
@@ -203,8 +210,8 @@ class TestBuilders:
 
     def test_both_actions_of_s4_are_nontrivial(self):
         pair = symmetric_factorization(4)
-        assert any(pair.act_left(g, y) != y for g in range(4) for y in range(6))
-        assert any(pair.act_right(g, y) != g for g in range(4) for y in range(6))
+        assert any(pair.act_left[g][y] != y for g in range(4) for y in range(6))
+        assert any(pair.act_right[g][y] != g for g in range(4) for y in range(6))
 
 
 def check_cocycle(omega, context):
@@ -370,10 +377,11 @@ class TestBismashAndFiles:
         pair = h2n2_pair(3)
         lines = ["F cyclic:2", "G product:cyclic:3,cyclic:3", "act_right"]
         for g in range(pair.G.order):
-            lines.append(" ".join(str(pair.act_right(g, x)) for x in range(2)))
+            lines.append(" ".join(str(pair.act_right[g][x]) for x in range(2)))
         path = tmp_path / "pair.txt"
         path.write_text("\n".join(lines) + "\n")
         loaded = pair_from_file(path)
+        assert loaded.act_right == pair.act_right
         grp_a = bicrossed_product(pair)
         grp_b = bicrossed_product(loaded)
         assert all(

@@ -21,6 +21,8 @@ COMMANDS = {
     "family_h2n2_12_1": ["family", "h2n2:12:1", "--n", "all-divisors"],
     "frobenius_h2n2_20_1": ["frobenius", "--family", "h2n2:20:1"],
     "frobenius_suzukiP_4_3_1": ["frobenius", "--family", "suzukiP:4:3:1"],
+    "family_suzuki_5_30_m1_1": ["family", "suzuki:5:30:-1:1", "--n", "all-divisors", "--check"],
+    "frobenius_suzuki_3_2_m1_1": ["frobenius", "--family", "suzuki:3:2:-1:1"],
     "gt_cyclic_400_psi_1": ["gt", "--group", "cyclic:400", "--cocycle", "psi:1", "--n", "400"],
     "frobenius_cyclic_5_psi_1": ["frobenius", "--group", "cyclic:5", "--cocycle", "psi:1"],
     "family_bismash_z2_on_z3": ["family", "bismash:z2_on_z3.pair", "--n", "all-divisors", "--check"],

@@ -7,8 +7,9 @@ on the pair induces a normalized 3-cocycle on the bicrossed product:
 
     omega(X, Y, Z) = sigma(X_G; Y_F, Y_G |> Z_F) * tau(X_G <| Y_F, Y_G; Z_F)
 
-All concrete families below store cocycle values as integer exponents of a
-fixed root of unity (see the cocycles module).
+Every built-in family is extension data on a matched pair, and builds
+through omega_from_extension.  The values are integer exponents of a fixed
+root of unity (see the cocycles module).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
-from .cocycles import CocycleError, ThreeCocycle, trivial_cocycle, verify_cocycle
+from .cocycles import ThreeCocycle
 from .groups import (
     FiniteGroup,
     SpecError,
@@ -28,6 +29,7 @@ from .groups import (
     make_cyclic,
     make_dihedral,
     parse_group_spec,
+    spec_int,
 )
 from .indicators import (
     nu_h2n2_closed,
@@ -80,7 +82,7 @@ def trivial_pair(f_group, g_group):
     return MatchedPair(f_group, g_group, [[g] * nf for g in range(ng)], [range(nf)] * ng)
 
 
-def bicrossed_product(pair, label=None):
+def bicrossed_product(pair):
     """The group F |><| G on pairs (x, g) encoded as x*|G| + g, built from
     the pair's checked action tables.
 
@@ -90,7 +92,7 @@ def bicrossed_product(pair, label=None):
     return FiniteGroup(
         pair.F.order * pair.G.order,
         bicrossed_rows(pair.F, pair.G, pair.act_left, pair.act_right),
-        label=label or f"({pair.F.label}|><|{pair.G.label})",
+        label=f"({pair.F.label}|><|{pair.G.label})",
     )
 
 
@@ -129,19 +131,19 @@ class GTCategory:
     label: str = "C"
 
 
-def omega_from_extension(data, verify=True, label=None):
+def omega_from_extension(data):
     """Induce the 3-cocycle on the bicrossed product from (sigma, tau).
 
     omega reads its third argument r only through its F-part r // |G|, and
     its first argument p only through its G-part p % |G|, so the cocycle
     carries block = |G|.  Its blocks are the left cosets of the subgroup
     G = {0..|G|-1}, since (x, g)(1, h) = (x, gh), and the exact check
-    (verify=True) reads one r per block, |F| in place of |F|*|G|, and builds
-    one slice omega(p, ., .) per G-part.
+    (verify_cocycle) reads one r per block, |F| in place of |F|*|G|, and
+    builds one slice omega(p, ., .) per G-part.
 
-    The cocycle is marked is_cocycle.  With verify=False that trusts the
-    data: sigma and tau must satisfy the extension equations, or the order
-    profile, and every indicator read from it, is wrong.
+    The cocycle is marked is_cocycle without a check: sigma and tau must
+    satisfy the extension equations, or the order profile, and every
+    indicator read from it, is wrong.  verify_cocycle decides it.
     """
     pair = data.pair
     grp = bicrossed_product(pair)
@@ -160,11 +162,12 @@ def omega_from_extension(data, verify=True, label=None):
     omega = ThreeCocycle(
         grp, data.value_order, exp_fn, label=f"omega[{data.label}]", block=ng, is_cocycle=True
     )
-    if verify:
-        report = verify_cocycle(omega)
-        if not report.ok:
-            raise CocycleError(f"inconsistent extension data: {report}")
-    return GTCategory(grp, omega, label=label or data.label)
+    return GTCategory(grp, omega, label=data.label)
+
+
+def _zero(a, b, c):
+    """sigma or tau of data that has none."""
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +175,7 @@ def omega_from_extension(data, verify=True, label=None):
 
 
 def h2n2_pair(n):
+    check_order(2 * n * n)
     g_group = direct_product(make_cyclic(n), make_cyclic(n))
     swap = [[i * n + j, j * n + i] for i in range(n) for j in range(n)]
     return MatchedPair(make_cyclic(2), g_group, swap, [range(2)] * (n * n))
@@ -204,6 +208,7 @@ def family_h2n2(n, xi_exp):
 
 
 def hn3_pair(n):
+    check_order(n ** 3)
     g_group = direct_product(make_cyclic(n), make_cyclic(n))
     shear = [[(i + a * j) % n * n + j for a in range(n)] for i in range(n) for j in range(n)]
     return MatchedPair(make_cyclic(n), g_group, shear, [range(n)] * (n * n))
@@ -235,13 +240,12 @@ def family_hn3(n, xi_exp, zeta_exp, lambda_exp=None):
         zet = n * zeta_exp * (a * j * k + (a * (a - 1) // 2) * j * l)
         return (a * lam + zet) % nn
 
-    return ExtensionData(
-        pair, nn, lambda g, x, y: 0, tau_exp, label=f"H_{n ** 3}(xi^{xi_exp},zeta^{zeta_exp})"
-    )
+    return ExtensionData(pair, nn, _zero, tau_exp, label=f"H_{n ** 3}(xi^{xi_exp},zeta^{zeta_exp})")
 
 
 # ---------------------------------------------------------------------------
-# family: Suzuki Hopf algebras, cyclic case (direct presentation)
+# family: Suzuki Hopf algebras A_{N,L}^{alpha,beta}, on D_2L |><| G with
+# G = Z_2N (the cyclic case) or Z_N x Z_2 (the non-cyclic case)
 
 
 def _dihedral_bar(d, half):
@@ -250,114 +254,74 @@ def _dihedral_bar(d, half):
     return 2 * ((-i - j) % half) + j
 
 
-def suzuki_cyclic_group(n, l):
-    """The order-4NL group <b, r, s | b^2N = r^L = s^2 = 1, srs = r^-1,
-    brb^-1 = r^-1, bsb^-1 = r^-1 s>, encoded as i*2L + (2j+k) for b^i r^j s^k.
+def suzuki_pair(g_group, l):
+    """F = D_2L, on which the odd elements of G act by the flip and the even
+    ones trivially; F acts trivially on G."""
+    two_l, ng = 2 * l, g_group.order
+    flip = [_dihedral_bar(x, l) for x in range(two_l)]
+    left = [flip if g % 2 else range(two_l) for g in range(ng)]
+    return MatchedPair(make_dihedral(two_l), g_group, [[g] * two_l for g in range(ng)], left)
 
-    It is the bicrossed product Z_2N |><| D_2L of the pair with trivial left
-    action and d <| i = bar^i(d)."""
-    check_order(4 * n * l)
-    two_l = 2 * l
-    flip = [[d, _dihedral_bar(d, l)] * n for d in range(two_l)]
-    pair = MatchedPair(make_cyclic(2 * n), make_dihedral(two_l), flip, [range(2 * n)] * two_l)
-    return bicrossed_product(pair, label=f"Gamma_{n},{l}")
+
+def _suzuki_data(g_group, l, chi, beta, eta_exp, label):
+    """Extension data (sigma only) for a Suzuki algebra on suzuki_pair(G, L),
+    |G| = 2N.  chi[g] is a character of G as exponents of zeta_2N, and eta =
+    zeta_4L^eta_exp is a 2L-th root of beta (default: 1 when beta = 1,
+    zeta_4L when beta = -1).  With ell(y) the index of y in D_2L,
+
+        sigma(g; x, y) = eta^(2 ell(y) [g odd]) * chi(g)^[y a reflection]
+
+    when x is a reflection, and 1 otherwise.
+    """
+    if eta_exp is None:
+        eta_exp = 0 if beta == 1 else 1
+    elif eta_exp % 2 != (beta == -1):  # eta^2L = (-1)^eta_exp
+        raise ValueError("eta_exp must represent a 2L-th root of beta")
+    m = math.lcm(4 * l, g_group.order)
+    eta = eta_exp * (m // (4 * l))
+    chi = [c * (m // g_group.order) for c in chi]
+
+    def sigma_exp(g, x, y):
+        if x % 2 == 0:
+            return 0
+        acc = 2 * y * eta if g % 2 else 0
+        if y % 2:
+            acc += chi[g]
+        return acc % m
+
+    return ExtensionData(suzuki_pair(g_group, l), m, sigma_exp, _zero, label=label)
 
 
 def family_suzuki_cyclic(n, l, alpha, beta, eta_exp=None):
-    """The Suzuki family category in the cyclic case ((N, alpha) != (even, +1)).
-
-    eta is a 2L-th root of beta; the default is the principal choice (1 when
-    beta = 1, zeta_{4L} when beta = -1), and any admissible eta_exp (an
-    exponent of zeta_{4L} with eta^{2L} = beta) may be supplied to exercise
-    choice-independence.  The 2N-th root of unity in the cocycle is principal.
-    """
+    """Extension data for the Suzuki family in the cyclic case ((N, alpha) !=
+    (even, +1)): G = Z_2N = <b> and chi(b^i) = (-alpha zeta_2N)^i, with the
+    principal zeta_2N.  eta_exp as in _suzuki_data; any admissible choice
+    gives the same indicators."""
     if alpha not in (1, -1) or beta not in (1, -1):
         raise ValueError("alpha and beta must be +1 or -1")
     if l < 2:
         raise ValueError("l must be at least 2")
     if n % 2 == 0 and alpha == 1:
         raise ValueError("the cyclic case requires (N, alpha) != (even, +1)")
-    grp = suzuki_cyclic_group(n, l)
-    two_l = 2 * l
-    m = math.lcm(4 * l, 2 * n)
-    eta_unit = m // (4 * l)  # exponent of the principal 4L-th root
-    c_unit = m // (2 * n)  # exponent of zeta_2N
-    if eta_exp is None:
-        eta_exp = 0 if beta == 1 else eta_unit
-    else:
-        eta_exp = eta_exp * eta_unit  # given as an exponent of zeta_{4L}
-        want = 0 if beta == 1 else m // 2
-        if (eta_exp * two_l) % m != want:
-            raise ValueError("eta_exp must represent a 2L-th root of beta")
-    neg_alpha_zeta = (1 + (n if alpha == 1 else 0)) * c_unit  # -alpha * zeta_2N
-
-    # The cocycle is the extension formula sigma(b^i; y', b^j |> z') transported
-    # through the normal form b^i x = x' b^i with x' = bar^i(x): the dihedral
-    # part of the third argument gets flipped j+k times in total.
-    def exp_fn(p, q, r):
-        ly = q % two_l
-        if ly % 2 == 0:
-            return 0
-        i = p // two_l
-        j = q // two_l
-        k = r // two_l
-        lz = r % two_l
-        if (j + k) % 2 and lz:
-            lz = _dihedral_bar(lz, l)  # ell(bar(z)) = 2L - ell(z)
-        acc = 0
-        if i % 2:
-            acc += 2 * lz * eta_exp
-        if lz % 2:
-            acc += i * neg_alpha_zeta
-        return acc % m
-
-    omega = ThreeCocycle(
-        grp, m, exp_fn, label=f"omega[A_{n},{l}^{alpha},{beta}]", is_cocycle=True
-    )
-    return GTCategory(grp, omega, label=f"A_{n},{l}^{alpha},{beta}")
-
-
-# ---------------------------------------------------------------------------
-# family: Suzuki Hopf algebras, non-cyclic case (via the extension machinery)
-
-
-def suzuki_noncyclic_pair(n, l):
-    """Matched pair with G = Z_N x Z_2 (a^i b^j), F = D_2L; b acts by the flip."""
-    g_group = direct_product(make_cyclic(n), make_cyclic(2))
-    two_l = 2 * l
-    flip = [_dihedral_bar(x, l) for x in range(two_l)]
-    left = [flip if g % 2 else range(two_l) for g in range(2 * n)]
-    right = [[g] * two_l for g in range(2 * n)]
-    return MatchedPair(make_dihedral(two_l), g_group, right, left)
+    check_order(4 * n * l)
+    neg_alpha_zeta = 1 + (n if alpha == 1 else 0)  # -alpha zeta_2N = zeta_2N^(1 or 1 + N)
+    chi = [i * neg_alpha_zeta for i in range(2 * n)]
+    return _suzuki_data(make_cyclic(2 * n), l, chi, beta, eta_exp, f"A_{n},{l}^{alpha},{beta}")
 
 
 def family_suzuki_noncyclic(n, l, beta):
-    """Extension data (sigma only) for the Suzuki family in the non-cyclic
-    case (N even, alpha = +1)."""
+    """Extension data for the Suzuki family in the non-cyclic case (N even,
+    alpha = +1): G = Z_N x Z_2 = <a> x <b> and chi(a^i b^j) = (-1)^j zeta_N^i."""
     if beta not in (1, -1):
         raise ValueError("beta must be +1 or -1")
     if n % 2 or n < 2:
         raise ValueError("the non-cyclic case requires even N")
     if l < 2:
         raise ValueError("l must be at least 2")
-    pair = suzuki_noncyclic_pair(n, l)
-    m = math.lcm(4 * l, 2 * n)
-    eta_unit = m // (4 * l)
-    c_unit = m // (2 * n)
-    eta_exp = 0 if beta == 1 else eta_unit
-
-    def sigma_exp(g, x, y):
-        if x % 2 == 0:  # ell(x) = index in the dihedral encoding
-            return 0
-        i, j = divmod(g, 2)
-        acc = 0
-        if j % 2:
-            acc += 2 * y * eta_exp
-        if y % 2:
-            acc += (2 * i + j * n) * c_unit  # (-1)^j * zeta_N^i
-        return acc % m
-
-    return ExtensionData(pair, m, sigma_exp, lambda g, h, x: 0, label=f"A_{n},{l}^+1,{beta}")
+    check_order(4 * n * l)
+    chi = [2 * i + j * n for i in range(n) for j in range(2)]
+    g_group = direct_product(make_cyclic(n), make_cyclic(2))
+    return _suzuki_data(g_group, l, chi, beta, None, f"A_{n},{l}^+1,{beta}")
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +329,9 @@ def family_suzuki_noncyclic(n, l, beta):
 
 
 def family_bismash(pair):
-    """The bismash product category: trivial sigma and tau, trivial cocycle."""
-    grp = bicrossed_product(pair)
-    return GTCategory(grp, trivial_cocycle(grp), label=f"bismash[{grp.label}]")
+    """Extension data of the bismash product: sigma = tau = 1."""
+    label = f"bismash[({pair.F.label}|><|{pair.G.label})]"
+    return ExtensionData(pair, 1, _zero, _zero, label=label)
 
 
 def pair_from_file(path):
@@ -395,13 +359,14 @@ def pair_from_file(path):
         elif head[0] in ("act_left", "act_right") and len(head) == 1:
             if len(groups) < 2:
                 raise SpecError("group specs must precede action tables")
-            n_rows, width = groups["G"].order, groups["F"].order
-            bound = width if head[0] == "act_left" else n_rows
+            n_rows = groups["G"].order
             rows = lines[i:i + n_rows]
             if len(rows) < n_rows:
                 raise SpecError(f"{head[0]} has {len(rows)} rows, expected |G| = {n_rows}")
             tables[head[0]] = [
-                _action_row(head[0], r, row, width, bound) for r, row in enumerate(rows)
+                [spec_int(t, f"{head[0]} row {r}, column {c}: expected an integer, got {t!r}")
+                 for c, t in enumerate(row)]
+                for r, row in enumerate(rows)
             ]
             i += n_rows
         else:
@@ -417,17 +382,6 @@ def pair_from_file(path):
     )
 
 
-def _action_row(section, r, row, width, bound):
-    """One action-table row: `width` element indices, each in 0..bound-1."""
-    try:
-        values = [int(t) for t in row]
-    except ValueError:
-        values = []
-    if len(values) != width or not all(0 <= v < bound for v in values):
-        raise SpecError(f"{section} row {r}: expected {width} entries in 0..{bound - 1}")
-    return values
-
-
 # ---------------------------------------------------------------------------
 # the family registry
 
@@ -435,13 +389,17 @@ def _action_row(section, r, row, width, bound):
 @dataclass(frozen=True)
 class Family:
     """A built-in family: the fields of its spec `kind:field:...`, its
-    builder, its closed form nu(*params, n) and its default sweep grid."""
+    extension data data(*params), its closed form nu(*params, n) and its
+    default sweep grid."""
 
     kind: str
     fields: tuple[str, ...]
-    build: Callable[..., GTCategory]
+    data: Callable[..., ExtensionData]
     closed: Callable | None = None
     grid: tuple[tuple, ...] = ()
+
+    def build(self, *params):
+        return omega_from_extension(self.data(*params))
 
     def spec(self, params):
         return ":".join([self.kind, *map(str, params)])
@@ -453,21 +411,15 @@ FAMILIES = {
     fam.kind: fam
     for fam in (
         Family(
-            "h2n2", ("N", "xi"),
-            lambda n, xi: omega_from_extension(family_h2n2(n, xi), verify=False),
-            nu_h2n2_closed,
+            "h2n2", ("N", "xi"), family_h2n2, nu_h2n2_closed,
             tuple((n, xi) for n in range(2, 7) for xi in range(n)),
         ),
         Family(
-            "hn3", ("N", "xi", "zeta"),
-            lambda n, xi, zeta: omega_from_extension(family_hn3(n, xi, zeta), verify=False),
-            nu_hn3_closed,
+            "hn3", ("N", "xi", "zeta"), family_hn3, nu_hn3_closed,
             tuple((n, xi, zeta) for n in (3, 5) for xi in range(n) for zeta in range(n)),
         ),
         Family(
-            "suzuki", ("N", "L", "alpha", "beta"),
-            family_suzuki_cyclic,
-            nu_suzuki_cyclic_closed,
+            "suzuki", ("N", "L", "alpha", "beta"), family_suzuki_cyclic, nu_suzuki_cyclic_closed,
             tuple(
                 (n, l, alpha, beta)
                 for n in (1, 2, 3) for l in (2, 3, 4) for alpha in _SIGNS for beta in _SIGNS
@@ -475,14 +427,10 @@ FAMILIES = {
             ),
         ),
         Family(
-            "suzukiP", ("N", "L", "beta"),
-            lambda n, l, beta: omega_from_extension(
-                family_suzuki_noncyclic(n, l, beta), verify=False
-            ),
-            nu_suzuki_noncyclic_closed,
+            "suzukiP", ("N", "L", "beta"), family_suzuki_noncyclic, nu_suzuki_noncyclic_closed,
             tuple((n, l, beta) for n in (2, 4) for l in (2, 3) for beta in _SIGNS),
         ),
-        Family("bismash", ("pair-file",), lambda path: family_bismash(pair_from_file(path))),
+        Family("bismash", ("pair-file",), family_bismash),
     )
 }
 
@@ -490,15 +438,16 @@ FAMILIES = {
 def split_family_spec(spec):
     """(family, params) for a family spec: the one place a spec is split.
 
-    Fields are integers, except bismash's pair-file path, which is the whole
-    rest of the spec.  Range checks are left to the builders.
+    Fields are integers, except bismash's pair file, whose path is the whole
+    rest of the spec and which is read here into its matched pair.  Range
+    checks are left to the builders.
     """
     kind, _, rest = spec.partition(":")
     fam = FAMILIES.get(kind)
     if fam is None:
         raise SpecError(f"unknown family spec: {spec!r}")
     if kind == "bismash":
-        return fam, (rest,)
+        return fam, (pair_from_file(rest),)
     parts = rest.split(":")
     try:
         if len(parts) == len(fam.fields):

@@ -250,28 +250,37 @@ class FiniteGroup:
 # constructors
 
 
-def bicrossed_rows(f, g, left, right):
+def bicrossed_rows(f_group, g_group, left, right):
     """The rows of the bicrossed product F |><| G on pairs (x, g) encoded as
     x*|G| + g, with (x, g)(y, h) = (x (g |> y), (g <| y) h).
 
     left[g][y] = g |> y (in F) and right[g][y] = g <| y (in G) are the action
-    tables.  Row (x, g) is |F| slices, each filled at C speed: slice y is G's
-    row g <| y read through block x' = x (g |> y) of one pool of ints, so no
-    Python code runs per entry and every entry equal to p is the one object
-    pool[p].  Rows are yielded one at a time, for FiniteGroup.
+    tables.  Row (x, 1) is F's row x with each entry x' widened to the block
+    x'*|G| + (0..|G|-1) of one pool of ints, and row (1, g) has slice y =
+    G's row g <| y read through block g |> y.  Since (x, g) = (x, 1)(1, g),
+    row (x, g) is row (x, 1) read at the entries of row (1, g): the walk
+    takes G outermost and makes row (1, g) one itemgetter, built once per g,
+    which gives each row (x, g) in one call.  No Python code runs per entry,
+    and every entry equal to p is the one object pool[p].  The rows are
+    placed at x*|G| + g, then yielded, for FiniteGroup.
     """
-    ng = g.order
-    n = f.order * ng
+    nf, ng = f_group.order, g_group.order
+    n = nf * ng
     pool = list(range(n))
-    blocks = [pool[x * ng:(x + 1) * ng].__getitem__ for x in range(f.order)]
-    parts = [slice(y * ng, (y + 1) * ng) for y in range(f.order)]
-    g_rows = g._table
-    for f_row in f._table:
-        for lrow, rrow in zip(left, right):
-            row = [0] * n  # allocated at its length: list.extend would leave slack
-            for part, ly, ry in zip(parts, lrow, rrow):
-                row[part] = map(blocks[f_row[ly]], g_rows[ry])
-            yield row
+    blocks = [pool[x * ng:(x + 1) * ng] for x in range(nf)]
+    parts = [slice(y * ng, (y + 1) * ng) for y in range(nf)]
+    g_rows = g_group._table
+    firsts = [list(chain.from_iterable(map(blocks.__getitem__, row))) for row in f_group._table]
+    rows = [None] * n
+    rows[::ng] = firsts  # the rows (x, 1)
+    for g in range(1, ng):  # so n > 1, and the itemgetter returns a tuple
+        rows[g] = row = [0] * n  # row (1, g)
+        for part, ly, ry in zip(parts, left[g], right[g]):
+            row[part] = map(blocks[ly].__getitem__, g_rows[ry])
+        get = itemgetter(*row)
+        for x in range(1, nf):
+            rows[x * ng + g] = list(get(firsts[x]))
+    yield from rows
 
 
 def make_cyclic(n):

@@ -104,7 +104,7 @@ def test_criterion_1_table27(capsys):
 def test_criterion_2_dimension_8_separation(capsys):
     t0 = time.perf_counter()
     # three dimension-8 objects with nu_2 = 6, 6, 2
-    b8 = family_bismash(h2n2_pair(2))
+    b8 = omega_from_extension(family_bismash(h2n2_pair(2)))
     assert nu_brute(b8, 2) == 6
     assert nu_group_algebra(make_dihedral(8), 2) == 6
     q8 = group_from_table_file(os.path.join(DATA_DIR, "q8.txt"))
@@ -154,7 +154,7 @@ def test_criterion_5_cyclic_counterexample(capsys):
 def test_criterion_6_frobenius_positive_suite(capsys):
     t0 = time.perf_counter()
     h2n2_orders = sorted({params[0] for params in FAMILIES["h2n2"].grid})
-    cats = [family_bismash(h2n2_pair(big_n)) for big_n in h2n2_orders]
+    cats = [omega_from_extension(family_bismash(h2n2_pair(big_n))) for big_n in h2n2_orders]
     cats += [category(fam.spec(params)) for fam, params in family_grid()]
     for cat in cats:
         rep = frobenius_check(cat)
@@ -201,14 +201,12 @@ def test_criterion_7_property_suites(capsys):
     # lambda / eta choices do not change indicators
     base = category("hn3:3:1:2")
     for lambda_exp in (2, 5, 8):
-        alt = omega_from_extension(
-            family_hn3(3, 1, 2, lambda_exp=lambda_exp), verify=False
-        )
+        alt = omega_from_extension(family_hn3(3, 1, 2, lambda_exp=lambda_exp))
         assert all(nu_brute(alt, n) == nu_brute(base, n) for n in (1, 3, 9, 27))
     for beta, exps in ((1, (2, 4)), (-1, (3, 5))):
-        ref = family_suzuki_cyclic(1, 3, 1, beta)
+        ref = omega_from_extension(family_suzuki_cyclic(1, 3, 1, beta))
         for eta_exp in exps:
-            alt = family_suzuki_cyclic(1, 3, 1, beta, eta_exp=eta_exp)
+            alt = omega_from_extension(family_suzuki_cyclic(1, 3, 1, beta, eta_exp=eta_exp))
             assert all(
                 nu_brute(alt, n) == nu_brute(ref, n) for n in divisors(12)
             ), (beta, eta_exp)

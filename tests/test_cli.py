@@ -419,7 +419,14 @@ class TestFamilyCommand:
         path.write_text("F cyclic:2\nG cyclic:3\nact_right\n0 0\n1 3\n2 1\n")
         code, _, err = run(capsys, "family", f"bismash:{path}", "--n", "1")
         assert code == EXIT_PARSE
-        assert "act_right row 1" in err
+        assert "action g <| y at (g, y) = (1, 1) is 3, out of range 0..2" in err
+
+    def test_bismash_action_entry_not_an_integer(self, capsys, tmp_path):
+        path = tmp_path / "pair.txt"
+        path.write_text("F cyclic:2\nG cyclic:3\nact_right\n0 0\n1 x\n2 1\n")
+        code, _, err = run(capsys, "family", f"bismash:{path}", "--n", "1")
+        assert code == EXIT_PARSE
+        assert "act_right row 1, column 1: expected an integer, got 'x'" in err
 
     @settings(max_examples=200, deadline=None)
     @given(PAIR_BODIES)
@@ -428,6 +435,8 @@ class TestFamilyCommand:
     @example("F cyclic:2\nG cyclic:3\nact_right\n0 0\n1 2\n2 1\n")
     @example("F cyclic:2\nG cyclic:3\nact_right\n0 0\n1 2\n2 1\nF cyclic:3\n")
     @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n0 2 1\nG cyclic:3\n")
+    @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n0 2\n")  # a short row
+    @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n0 5 1\n")  # an entry out of range
     def test_pair_file_fuzz_exits_cleanly(self, body):
         code, err = run_on_file(["family", "bismash:{path}", "--n", "1,2", "--stable"], body)
         assert code in (EXIT_OK, EXIT_PARSE), (body, code, err)

@@ -40,9 +40,7 @@ from fsind.groups import (
 from fsind.extensions import (
     FAMILIES,
     ExtensionData,
-    family_h2n2,
     family_hn3,
-    family_suzuki_noncyclic,
     omega_from_extension,
     parse_family_spec,
     split_family_spec,
@@ -249,14 +247,14 @@ class TestVerification:
         assert_checks_agree(w, (na, nb, m, values))
 
 
-# every grid category built from extension data, up to order 72
+# every h2n2, hn3 and suzukiP grid category up to order 72, and one suzuki
 EXTENSION_GRID = [
     (FAMILIES[kind].spec(params), cat)
     for kind in ("h2n2", "hn3", "suzukiP")
     for params in FAMILIES[kind].grid
     for cat in [FAMILIES[kind].build(*params)]
     if cat.group.order <= 72
-]
+] + [("suzuki:3:2:-1:1", parse_family_spec("suzuki:3:2:-1:1"))]
 
 
 def _bumped_extension_data(data, draw):
@@ -281,7 +279,7 @@ def _bumped(data, bump_sigma, at, shift):
 
 
 def _bumped_hn3(bump_sigma, at):
-    return omega_from_extension(_bumped(family_hn3(3, 1, 1), bump_sigma, at, 1), verify=False).omega
+    return omega_from_extension(_bumped(family_hn3(3, 1, 1), bump_sigma, at, 1)).omega
 
 
 class TestCosetBlocks:
@@ -320,10 +318,8 @@ class TestCosetBlocks:
             + [("hn3", (3, xi, zeta)) for xi in range(3) for zeta in range(3)]
             + [("suzukiP", (2, l, beta)) for l in (2, 3) for beta in (1, -1)]
         ))
-        base = {"h2n2": family_h2n2, "hn3": family_hn3, "suzukiP": family_suzuki_noncyclic}[kind](
-            *params
-        )
-        w = omega_from_extension(_bumped_extension_data(base, data.draw), verify=False).omega
+        base = FAMILIES[kind].data(*params)
+        w = omega_from_extension(_bumped_extension_data(base, data.draw)).omega
         assert w.block == base.pair.G.order
         assert verify_cocycle(w) == verify_cocycle(dataclasses.replace(w, block=1))
 
@@ -369,7 +365,6 @@ class TestCosetBlocks:
             product_cocycle(psi(2, 1), w),
             psi(4, 1),
             trivial_cocycle(w.group),
-            parse_family_spec("suzuki:1:2:1:1").omega,
             cocycle_from_file(w.group, path),
         ]
         assert [d.block for d in derived] == [1] * len(derived)
@@ -506,15 +501,11 @@ def _trivially_restricted_subgroup(spec, grp):
     """Elements of a normal subgroup on which the family cocycle is 1."""
     fam, parts = split_family_spec(spec)
     kind = fam.kind
-    if kind == "h2n2":
+    if kind in ("h2n2", "hn3"):
         return range(parts[0] ** 2)  # the Z_N x Z_N factor
-    if kind == "hn3":
-        return range(parts[0] ** 2)
-    if kind == "suzuki":
-        return range(2 * parts[1])  # the dihedral factor <r, s>
-    if kind == "suzukiP":
+    if kind in ("suzuki", "suzukiP"):
         n, l = parts[0], parts[1]
-        return [x * 2 * n for x in range(2 * l)]  # the dihedral factor
+        return [x * 2 * n for x in range(2 * l)]  # the dihedral factor <r, s>
     raise AssertionError(spec)
 
 

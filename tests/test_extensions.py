@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsind.groups import FiniteGroup, make_cyclic, make_dihedral
-from fsind.cocycles import CocycleError, verify_cocycle
+from fsind.groups import FiniteGroup, make_cyclic
+from fsind.cocycles import verify_cocycle
 from fsind.extensions import (
     FAMILIES,
     ExtensionData,
     MatchedPair,
-    _dihedral_bar,
     bicrossed_product,
     family_bismash,
     family_h2n2,
@@ -29,8 +28,6 @@ from fsind.extensions import (
     pair_from_file,
     parse_family_spec,
     power_iteration,
-    suzuki_cyclic_group,
-    suzuki_noncyclic_pair,
     trivial_pair,
 )
 from fsind.indicators import nu_brute
@@ -78,12 +75,12 @@ class TestMatchedPairs:
             MatchedPair(make_cyclic(3), make_cyclic(2), right, left)
 
     def test_bicrossed_is_a_group(self):
-        for pair in (h2n2_pair(3), hn3_pair(3), suzuki_noncyclic_pair(2, 2)):
+        for pair in (h2n2_pair(3), hn3_pair(3), family_suzuki_noncyclic(2, 2, 1).pair):
             grp = bicrossed_product(pair)  # runs the associativity check
             assert grp.order == pair.F.order * pair.G.order
 
     def test_power_iteration_matches_group_power(self):
-        for pair in (h2n2_pair(4), hn3_pair(3), suzuki_noncyclic_pair(2, 3)):
+        for pair in (h2n2_pair(4), hn3_pair(3), family_suzuki_noncyclic(2, 3, 1).pair):
             grp = bicrossed_product(pair)
             ng = pair.G.order
             for p in range(grp.order):
@@ -93,9 +90,8 @@ class TestMatchedPairs:
                     assert xn * ng + gn == grp.power(p, n), (pair, p, n)
 
 
-# the per-entry multiplication closures bicrossed_product and
-# suzuki_cyclic_group used before they were built from their factors' rows,
-# kept as the oracle
+# the per-entry multiplication closure bicrossed_product used before it was
+# built from its factors' rows, kept as the oracle
 
 
 def bicrossed_mul(pair):
@@ -105,19 +101,6 @@ def bicrossed_mul(pair):
         x, g = divmod(p, ng)
         y, h = divmod(q, ng)
         return pair.F.mul(x, pair.act_left[g][y]) * ng + pair.G.mul(pair.act_right[g][y], h)
-
-    return mul
-
-
-def suzuki_mul(n, l):
-    two_l = 2 * l
-    dih = make_dihedral(two_l)
-
-    def mul(p, q):
-        i1, d1 = divmod(p, two_l)
-        i2, d2 = divmod(q, two_l)
-        x1 = _dihedral_bar(d1, l) if i2 % 2 else d1
-        return ((i1 + i2) % (2 * n)) * two_l + dih.mul(x1, d2)
 
     return mul
 
@@ -192,8 +175,9 @@ class TestBuilders:
         "pair",
         [h2n2_pair(n) for n in (2, 3, 5)]
         + [hn3_pair(n) for n in (3, 5)]
-        + [suzuki_noncyclic_pair(n, l) for n in (2, 4) for l in (2, 3)]
-        + [symmetric_factorization(n) for n in (3, 4)],
+        + [family_suzuki_noncyclic(n, l, 1).pair for n in (2, 4) for l in (2, 3)]
+        + [symmetric_factorization(n) for n in (3, 4)]
+        + [family_suzuki_cyclic(n, l, -1, 1).pair for n in (1, 2, 3, 5) for l in (2, 3, 4)],
     )
     def test_bicrossed_product_matches_the_closure(self, pair):
         assert_matches_closure(bicrossed_product(pair), bicrossed_mul(pair))
@@ -202,11 +186,6 @@ class TestBuilders:
     @given(semidirect_pairs())
     def test_random_pairs_match_the_closure(self, pair):
         assert_matches_closure(bicrossed_product(pair), bicrossed_mul(pair))
-
-    def test_suzuki_group_matches_the_closure(self):
-        for n in (1, 2, 3, 5):
-            for l in (2, 3, 4):
-                assert_matches_closure(suzuki_cyclic_group(n, l), suzuki_mul(n, l))
 
     def test_both_actions_of_s4_are_nontrivial(self):
         pair = symmetric_factorization(4)
@@ -233,9 +212,9 @@ class TestH2N2Family:
             data.pair, data.value_order,
             lambda g, x, y: sigma(g, x, y) + ((g, x, y) == (4, 1, 1)), data.tau_exp,
         )
-        with pytest.raises(CocycleError, match="inconsistent extension data"):
-            omega_from_extension(bumped)
-        assert omega_from_extension(data).group.order == 18
+        report = verify_cocycle(omega_from_extension(bumped).omega)
+        assert not report.ok and report.failure[0] == "cocycle identity"
+        assert verify_cocycle(omega_from_extension(data).omega).ok
 
     def test_pointwise_display_formula(self):
         # collapsed form: with xi = zeta_N^xi_exp the cocycle is
@@ -244,7 +223,7 @@ class TestH2N2Family:
         #   xi^(i1*j1 + i1*i2)    when a3 = 1, a2 = 1
         for n in (2, 3, 4, 5):
             xi_exp = 1
-            cat = omega_from_extension(family_h2n2(n, xi_exp), verify=False)
+            cat = omega_from_extension(family_h2n2(n, xi_exp))
             w = cat.omega
             nn = n * n
             for p in range(2 * nn):
@@ -277,9 +256,7 @@ class TestHN3Family:
         nn = n * n
         for xi_exp in range(n):
             for zeta_exp in range(n):
-                cat = omega_from_extension(
-                    family_hn3(n, xi_exp, zeta_exp), verify=False
-                )
+                cat = omega_from_extension(family_hn3(n, xi_exp, zeta_exp))
                 w = cat.omega
                 lam = (-xi_exp) % nn
                 for p in range(n * nn):
@@ -299,16 +276,13 @@ class TestHN3Family:
 
     def test_lambda_choice_does_not_change_indicators(self):
         n, xi_exp, zeta_exp = 3, 1, 2
-        base = omega_from_extension(family_hn3(n, xi_exp, zeta_exp), verify=False)
+        base = omega_from_extension(family_hn3(n, xi_exp, zeta_exp))
         for lambda_exp in range(9):
             if (lambda_exp + xi_exp) % n:
                 with pytest.raises(ValueError):
                     family_hn3(n, xi_exp, zeta_exp, lambda_exp=lambda_exp)
                 continue
-            alt = omega_from_extension(
-                family_hn3(n, xi_exp, zeta_exp, lambda_exp=lambda_exp),
-                verify=False,
-            )
+            alt = omega_from_extension(family_hn3(n, xi_exp, zeta_exp, lambda_exp=lambda_exp))
             for nu_n in (1, 3, 9, 27):
                 assert nu_brute(alt, nu_n) == nu_brute(base, nu_n), (
                     lambda_exp, nu_n,
@@ -321,13 +295,14 @@ class TestHN3Family:
 
 class TestSuzukiFamilies:
     def test_group_structure(self):
-        grp = suzuki_cyclic_group(3, 2)
+        # D_2L |><| Z_2N on x*2N + i for r^j s^k b^i, x = 2j + k
+        grp = parse_family_spec("suzuki:3:2:-1:1").group
         assert grp.order == 24
-        two_l = 4
-        b = two_l  # b^1 r^0 s^0
-        r = 2  # r^1
-        s = 1  # s^1
-        assert grp.element_order(b) == 6  # b has order 2N
+        two_n = 6
+        b = 1  # b^1
+        r = 2 * two_n  # r^1
+        s = two_n  # s^1
+        assert grp.element_order(b) == two_n and grp.power(b, two_n) == 0  # b^2N = 1
         # b r b^-1 = r^-1 and b s b^-1 = r^-1 s
         binv = grp.inv(b)
         assert grp.mul(grp.mul(b, r), binv) == grp.inv(r)
@@ -335,18 +310,12 @@ class TestSuzukiFamilies:
 
     def test_cyclic_case_has_cyclic_sylow_center_element(self):
         # b generates a cyclic subgroup of order 2N containing the center part
-        grp = suzuki_cyclic_group(1, 2)
-        assert grp.order == 8
+        grp = parse_family_spec("suzuki:1:2:1:1").group
+        assert grp.order == 8 and grp.element_order(1) == 2
 
     def test_cocycle_valid(self):
-        for n in (1, 2, 3):
-            for l in (2, 3):
-                for alpha in (1, -1):
-                    for beta in (1, -1):
-                        if n % 2 == 0 and alpha == 1:
-                            continue
-                        cat = family_suzuki_cyclic(n, l, alpha, beta)
-                        check_cocycle(cat.omega, (n, l, alpha, beta))
+        for params in FAMILIES["suzuki"].grid:
+            check_cocycle(FAMILIES["suzuki"].build(*params).omega, params)
 
     def test_noncyclic_cocycle_valid(self):
         for params in FAMILIES["suzukiP"].grid:
@@ -362,14 +331,14 @@ class TestSuzukiFamilies:
 
     def test_eta_branch_only_matters_through_beta(self):
         # the two beta values genuinely differ at some indicator
-        a = family_suzuki_cyclic(1, 2, 1, 1)
-        b = family_suzuki_cyclic(1, 2, 1, -1)
+        a = parse_family_spec("suzuki:1:2:1:1")
+        b = parse_family_spec("suzuki:1:2:1:-1")
         assert any(nu_brute(a, n) != nu_brute(b, n) for n in (2, 4, 8))
 
 
 class TestBismashAndFiles:
     def test_bismash_trivial_cocycle(self):
-        cat = family_bismash(h2n2_pair(3))
+        cat = omega_from_extension(family_bismash(h2n2_pair(3)))
         assert cat.omega.value_order == 1
         assert cat.group.order == 18
 

@@ -20,7 +20,7 @@ from fsind.groups import (
     make_dihedral,
     parse_group_spec,
 )
-from fsind.extensions import parse_family_spec, suzuki_cyclic_group
+from fsind.extensions import parse_family_spec
 
 
 def quaternion_table():
@@ -246,8 +246,14 @@ class TestConstructors:
         monkeypatch.setattr(extensions, "make_dihedral", no_factor)
         with pytest.raises(SpecError, match=f"group order 8000 exceeds the limit of {MAX_ORDER}"):
             parse_group_spec("dihedral:8000")  # Z_4000 would be built first
-        with pytest.raises(SpecError, match="group order 4224 exceeds the limit"):
-            suzuki_cyclic_group(32, 33)
+        for spec, order in (
+            ("suzuki:32:33:-1:1", 4224),
+            ("h2n2:64:1", 8192),  # Z_64 x Z_64 would be built first
+            ("hn3:63:1:1", 250047),
+            ("suzukiP:2:2048:1", 16384),  # D_4096 would be built first
+        ):
+            with pytest.raises(SpecError, match=f"group order {order} exceeds the limit"):
+                parse_family_spec(spec)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(GROUP_TABLES).flatmap(_altered))
@@ -269,6 +275,12 @@ class TestBuilders:
         assert grp.order == order
         assert group_table(grp) == [[mul(g, h) for h in range(order)] for g in range(order)]
         assert [grp.element_order(g) for g in range(order)] == orders_by_walk(order, mul)
+
+    @pytest.mark.parametrize("spec", ["product:cyclic:5,cyclic:1", "product:cyclic:1,cyclic:5"])
+    def test_product_with_the_trivial_group(self, spec):
+        # at |G| = 1 an itemgetter of one index would return the bare entry,
+        # not a tuple: every row must be a row (x, 1)
+        assert group_table(parse_group_spec(spec)) == group_table(make_cyclic(5))
 
 
 class TestElementQueries:

@@ -32,7 +32,7 @@ from fsind.cocycles import (
     restrict,
     trivial_cocycle,
 )
-from fsind.extensions import FAMILIES, GTCategory, family_suzuki_cyclic, parse_family_spec
+from fsind.extensions import FAMILIES, GTCategory, parse_family_spec
 from fsind.indicators import (
     b_p,
     frobenius_check,
@@ -160,7 +160,6 @@ class TestOrderProfileByCyclicSubgroup:
             trivial_cocycle(z6),
             psi(6, 1),
             psi_on(z6, 5),
-            family_suzuki_cyclic(1, 2, 1, 1).omega,
             parse_family_spec("h2n2:3:1").omega,  # omega_from_extension
             cocycle_from_file(z6, path),
         ]

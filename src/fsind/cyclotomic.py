@@ -419,6 +419,7 @@ def gauss_sum_direct(a: int, m: int) -> CyclotomicInteger:
     return CyclotomicInteger(m, counts)
 
 
+@lru_cache(maxsize=None)
 def sqrt_int(n: int) -> CyclotomicInteger:
     """Exact sqrt(n) for n >= 1, as a cyclotomic integer."""
     if n < 1:

@@ -2,9 +2,9 @@
 
 Elements of a group of order n are the integers 0..n-1, with 0 always the
 identity.  Every group is tabulated as n rows of n indices, which keeps the
-indicator loops at O(1) per product, and its axioms are checked exactly at
-every order.  Every built-in group is a bicrossed product, and
-`bicrossed_rows` builds its rows from the rows of its two factors.
+indicator loops at O(1) per product.  Every built-in group is a bicrossed
+product, built by `bicrossed_rows` from its factors' rows and checked as a
+matched pair; the exact axiom check is for table files and callers' tables.
 """
 
 from __future__ import annotations

@@ -102,6 +102,10 @@ PAIR_BODIES = st.one_of(
     st.lists(_PAIR_LINE, max_size=8),
 ).map(lambda lines: "\n".join(lines) + "\n")
 
+# every value in range and every identity row and column right, but both
+# elements of order 3 in Z_3 invert Z_4, so the actions are not compatible
+INCOMPATIBLE_PAIR = "F cyclic:4\nG cyclic:3\nact_left\n0 1 2 3\n0 3 2 1\n0 3 2 1\n"
+
 
 def run_on_file(argv, body):
     """main(argv with {path} replaced by a file holding body): (code, stderr)."""
@@ -428,6 +432,14 @@ class TestFamilyCommand:
         assert code == EXIT_PARSE
         assert "act_right row 1, column 1: expected an integer, got 'x'" in err
 
+    def test_bismash_incompatible_actions(self, capsys, tmp_path):
+        path = tmp_path / "pair.txt"
+        path.write_text(INCOMPATIBLE_PAIR)
+        code, out, err = run(capsys, "family", f"bismash:{path}", "--n", "1")
+        assert code == EXIT_PARSE and out == ""
+        assert "not a matched pair: (gh)|>y = g|>(h|>y) fails at (g, h, y) = (1, 1, 1)" in err
+        assert "Traceback" not in err
+
     @settings(max_examples=200, deadline=None)
     @given(PAIR_BODIES)
     @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n0 2 1\n")
@@ -437,6 +449,7 @@ class TestFamilyCommand:
     @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n0 2 1\nG cyclic:3\n")
     @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n0 2\n")  # a short row
     @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n0 5 1\n")  # an entry out of range
+    @example(INCOMPATIBLE_PAIR)
     def test_pair_file_fuzz_exits_cleanly(self, body):
         code, err = run_on_file(["family", "bismash:{path}", "--n", "1,2", "--stable"], body)
         assert code in (EXIT_OK, EXIT_PARSE), (body, code, err)

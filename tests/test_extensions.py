@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import permutations
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsind.groups import FiniteGroup, make_cyclic
+from fsind.groups import (
+    FiniteGroup,
+    bicrossed_rows,
+    group_from_table_file,
+    make_cyclic,
+    parse_group_spec,
+)
 from fsind.cocycles import verify_cocycle
 from fsind.extensions import (
     FAMILIES,
@@ -33,6 +40,7 @@ from fsind.extensions import (
 from fsind.indicators import nu_brute
 
 
+GOLDEN = Path(__file__).parent / "golden"
 FIXED = [[0, 0, 0], [1, 1, 1]]  # the trivial right action of Z_2 on Z_3
 
 
@@ -43,11 +51,18 @@ class TestMatchedPairs:
         assert grp.order == 12 and grp.exponent() == 12
 
     def test_identity_axioms_enforced(self):
+        # 1 <| y = 1 and g |> 1 = 1 are the laws at h = 1 and at y = 1
         for right, left, message in (
             (FIXED, [[0, 2, 1], [0, 1, 2]], "identity of G must act trivially on F"),
-            ([[0, 1, 0], [1, 1, 1]], [[0, 1, 2]] * 2, "1 <| x must be 1"),
+            (
+                [[0, 1, 0], [1, 1, 1]], [[0, 1, 2]] * 2,
+                "not a matched pair: (gh)<|y = (g<|(h|>y))(h<|y) fails at (g, h, y) = (1, 0, 1)",
+            ),
             ([[0, 0, 0], [0, 1, 1]], [[0, 1, 2]] * 2, "identity of F must act trivially on G"),
-            (FIXED, [[0, 1, 2], [1, 2, 0]], "g |> 1 must be 1"),  # g |> y = y + g
+            (  # g |> y = y + g
+                FIXED, [[0, 1, 2], [1, 2, 0]],
+                "not a matched pair: (gh)|>y = g|>(h|>y) fails at (g, h, y) = (1, 1, 0)",
+            ),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 MatchedPair(make_cyclic(3), make_cyclic(2), right, left)
@@ -76,7 +91,8 @@ class TestMatchedPairs:
 
     def test_bicrossed_is_a_group(self):
         for pair in (h2n2_pair(3), hn3_pair(3), family_suzuki_noncyclic(2, 2, 1).pair):
-            grp = bicrossed_product(pair)  # runs the associativity check
+            grp = bicrossed_product(pair)  # built unchecked: the pair's laws make it a group
+            grp._check_axioms()  # Light's test, which raises if they do not
             assert grp.order == pair.F.order * pair.G.order
 
     def test_power_iteration_matches_group_power(self):
@@ -170,15 +186,17 @@ def symmetric_factorization(n):
     return MatchedPair(f_group, g_group, right, left)
 
 
+CLOSURE_PAIRS = (
+    [h2n2_pair(n) for n in (2, 3, 5)]
+    + [hn3_pair(n) for n in (3, 5)]
+    + [family_suzuki_noncyclic(n, l, 1).pair for n in (2, 4) for l in (2, 3)]
+    + [symmetric_factorization(n) for n in (3, 4)]
+    + [family_suzuki_cyclic(n, l, -1, 1).pair for n in (1, 2, 3, 5) for l in (2, 3, 4)]
+)
+
+
 class TestBuilders:
-    @pytest.mark.parametrize(
-        "pair",
-        [h2n2_pair(n) for n in (2, 3, 5)]
-        + [hn3_pair(n) for n in (3, 5)]
-        + [family_suzuki_noncyclic(n, l, 1).pair for n in (2, 4) for l in (2, 3)]
-        + [symmetric_factorization(n) for n in (3, 4)]
-        + [family_suzuki_cyclic(n, l, -1, 1).pair for n in (1, 2, 3, 5) for l in (2, 3, 4)],
-    )
+    @pytest.mark.parametrize("pair", CLOSURE_PAIRS)
     def test_bicrossed_product_matches_the_closure(self, pair):
         assert_matches_closure(bicrossed_product(pair), bicrossed_mul(pair))
 
@@ -191,6 +209,97 @@ class TestBuilders:
         pair = symmetric_factorization(4)
         assert any(pair.act_left[g][y] != y for g in range(4) for y in range(6))
         assert any(pair.act_right[g][y] != g for g in range(4) for y in range(6))
+
+
+@st.composite
+def changed_actions(draw):
+    """(F, G, act_left, act_right): a matched pair with 1 to 3 action entries,
+    row g = 0 and column y = 0 among them, set to values in range."""
+    pair = draw(st.one_of(st.sampled_from(CLOSURE_PAIRS), semidirect_pairs()))
+    nf, ng = pair.F.order, pair.G.order
+    tables = [list(map(list, pair.act_left)), list(map(list, pair.act_right))]
+    for _ in range(draw(st.integers(1, 3))):
+        side = draw(st.integers(0, 1))
+        g, y = draw(st.integers(0, ng - 1)), draw(st.integers(0, nf - 1))
+        tables[side][g][y] = draw(st.integers(0, (nf, ng)[side] - 1))
+    return pair.F, pair.G, *tables
+
+
+def light_accepts(f_group, g_group, left, right):
+    """The oracle for the laws: the identity rows and columns, g |> 1 = 1 and
+    1 <| y = 1, and Light's test on the product table."""
+    nf, ng = f_group.order, g_group.order
+    if list(left[0]) != list(range(nf)) or [row[0] for row in right] != list(range(ng)):
+        return False
+    if any(row[0] for row in left) or any(right[0]):
+        return False
+    try:
+        FiniteGroup(nf * ng, bicrossed_rows(f_group, g_group, left, right), check=True)
+    except ValueError:
+        return False
+    return True
+
+
+class TestPairLaws:
+    @settings(max_examples=1200, deadline=None)
+    @given(changed_actions())
+    def test_laws_agree_with_light_on_the_product(self, case):
+        f_group, g_group, left, right = case
+        try:
+            MatchedPair(f_group, g_group, right, left)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == light_accepts(f_group, g_group, left, right)
+
+    @pytest.mark.parametrize(
+        "f_spec, g_spec",
+        [("cyclic:2", "cyclic:2"), ("cyclic:2", "cyclic:3"), ("cyclic:3", "cyclic:2"),
+         ("cyclic:2", "product:cyclic:2,cyclic:2"), ("product:cyclic:2,cyclic:2", "cyclic:2")],
+    )
+    def test_every_small_action_table_agrees_with_light(self, f_spec, g_spec):
+        # every action table with the identity row and column: among them are
+        # tables that break exactly one of the four laws, for each law, and
+        # with two generators, tables that keep a law at one and break it at
+        # the other
+        f_group, g_group = parse_group_spec(f_spec), parse_group_spec(g_spec)
+        nf, ng = f_group.order, g_group.order
+        free = [(0, g, y) for g in range(1, ng) for y in range(nf)]
+        free += [(1, g, y) for g in range(ng) for y in range(1, nf)]
+        accepted = 0
+        for values in product(*[range((nf, ng)[side]) for side, _, _ in free]):
+            left = [list(range(nf))] + [[0] * nf for _ in range(1, ng)]
+            right = [[g] * nf for g in range(ng)]
+            for (side, g, y), v in zip(free, values):
+                (left, right)[side][g][y] = v
+            try:
+                MatchedPair(f_group, g_group, right, left)
+                ok = True
+            except ValueError:
+                ok = False
+            assert ok == light_accepts(f_group, g_group, left, right), (left, right)
+            accepted += ok
+        assert accepted
+
+    def test_no_family_or_pair_file_runs_the_group_check(self, monkeypatch, tmp_path):
+        calls = []
+        check = FiniteGroup._check_axioms
+
+        def counting_check(self):
+            calls.append(self.order)
+            check(self)
+
+        monkeypatch.setattr(FiniteGroup, "_check_axioms", counting_check)
+        for fam in FAMILIES.values():
+            for params in fam.grid:
+                fam.build(*params)
+        parse_family_spec(f"bismash:{GOLDEN / 'z2_on_z3.pair'}")
+        assert calls == []
+        path = tmp_path / "z3.txt"
+        path.write_text("order 3\n0 1 2\n1 2 0\n2 0 1\n")
+        group_from_table_file(path)
+        FiniteGroup(4, lambda a, b: (a + b) % 4, check=True)
+        assert calls == [3, 4]
 
 
 def check_cocycle(omega, context):

@@ -312,6 +312,8 @@ def family_suzuki_cyclic(n, l, alpha, beta, eta_exp=None):
         raise ValueError("alpha and beta must be +1 or -1")
     if l < 2:
         raise ValueError("l must be at least 2")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if n % 2 == 0 and alpha == 1:
         raise ValueError("the cyclic case requires (N, alpha) != (even, +1)")
     check_order(4 * n * l)

@@ -3,8 +3,8 @@
 Elements of a group of order n are the integers 0..n-1, with 0 always the
 identity.  Every group is tabulated as n rows of n indices, which keeps the
 indicator loops at O(1) per product.  Every built-in group is a bicrossed
-product, built by `bicrossed_rows` from its factors' rows and checked as a
-matched pair; the exact axiom check is for table files and callers' tables.
+product of rows in range by construction, checked as a matched pair; only
+table files and callers' tables get the exact axiom check (`check=True`).
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ def check_order(order):
 class FiniteGroup:
     """A finite group on element indices 0..order-1 with identity 0."""
 
-    __slots__ = ("order", "label", "_table", "_inv", "_orders", "_gens")
+    __slots__ = ("order", "label", "_table", "_orders", "_gens")
 
     def __init__(self, order, mul, label="G", check=True):
         """`mul` is the product as a callable mul(g, h), or the rows of the
         table: an iterable of `order` lists of `order` indices, read once,
         after the order cap (so a builder that yields rows makes none for a
-        rejected order).  The rows are kept as given, not copied."""
+        rejected order).  The rows are kept as given, not copied, and checked
+        only with `check=True`; with `check=False` the caller vouches for them."""
         if order < 1:
             raise ValueError("group order must be positive")
         check_order(order)
@@ -51,16 +52,8 @@ class FiniteGroup:
             # it would otherwise be an object of its own)
             get = {x: x for x in range(order)}.get
             rows = ([get(v, v) for v in map(mul, repeat(g), range(order))] for g in range(order))
-        self._table = table = list(rows)
-        if len(table) != order or set(map(len, table)) != {order}:
-            raise ValueError(f"a group of order {order} needs {order} rows of {order} entries")
-        for row in table:  # a negative entry would wrap round as a list index
-            low, high = min(row), max(row)
-            if low < 0 or high >= order:
-                bad = low if low < 0 else high
-                raise ValueError(f"a product {bad!r} is out of range 0..{order - 1}")
+        self._table = list(rows)
         self._gens = None
-        self._inv = self._build_inverses()
         if check:
             self._check_axioms()
         self._orders = self._element_orders()
@@ -75,16 +68,7 @@ class FiniteGroup:
         return 0
 
     def inv(self, g):
-        return self._inv[g]
-
-    def _build_inverses(self):
-        inv = []
-        for g, row in enumerate(self._table):
-            try:
-                inv.append(row.index(0))
-            except ValueError:
-                raise ValueError(f"element {g} has no inverse") from None
-        return inv
+        return self.power(g, self._orders[g] - 1)
 
     def generators(self):
         """An irredundant generating set, computed once: the greedy one (each
@@ -122,16 +106,29 @@ class FiniteGroup:
                 )
 
     def _check_axioms(self):
-        """Identity, then Light's associativity test (Clifford & Preston,
-        The Algebraic Theory of Semigroups I, section 1.2).
+        """The one check of a table: its shape, the range of its entries, a 0
+        in every row (a right inverse), the identity, then Light's
+        associativity test (Clifford & Preston, The Algebraic Theory of
+        Semigroups I, section 1.2).
 
         The elements s with (x*s)*y == x*(s*y) for all x, y are closed under
         multiplication in any table with a two-sided identity, group or not,
         and every element is a product of `generators()`, so testing those
-        tests every triple.  Each costs one row comparison per x.
+        tests every triple.  Each costs one row comparison per x.  A monoid
+        in which every element has a right inverse is a group.
         """
         table = self._table
         n = self.order
+        if len(table) != n or set(map(len, table)) != {n}:
+            raise ValueError(f"a group of order {n} needs {n} rows of {n} entries")
+        for row in table:  # a negative entry would wrap round as a list index
+            low, high = min(row), max(row)
+            if low < 0 or high >= n:
+                bad = low if low < 0 else high
+                raise ValueError(f"a product {bad!r} is out of range 0..{n - 1}")
+        for g, row in enumerate(table):
+            if 0 not in row:
+                raise ValueError(f"element {g} has no inverse")
         for g in range(n):
             if table[g][0] != g or table[0][g] != g:
                 raise ValueError(f"element 0 is not a two-sided identity at {g}")

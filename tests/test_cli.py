@@ -461,11 +461,21 @@ class TestFamilyCommand:
     @example("hn3:3:4:-2")
     @example("suzuki:4:4:-1:-1")
     @example("suzukiP:4:4:-1")
+    @example("suzuki:0:2:-1:1")
+    @example("suzuki:-1:2:-1:1")
     def test_spec_fuzz_exits_cleanly(self, spec):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["family", spec, "--n", "1", "--stable"])
         assert code in (EXIT_OK, EXIT_PARSE), (spec, code, err.getvalue())
+
+    def test_suzuki_n_below_one_names_n(self):
+        for spec in ("suzuki:0:2:-1:1", "suzuki:-1:2:-1:1"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["family", spec, "--n", "1", "--stable"])
+            assert code == EXIT_PARSE
+            assert err.getvalue() == "error: n must be at least 1\n", spec
 
 
 class TestTable27Command:

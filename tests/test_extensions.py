@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from fsind.groups import (
     FiniteGroup,
     bicrossed_rows,
+    direct_product,
     group_from_table_file,
     make_cyclic,
+    make_dihedral,
     parse_group_spec,
 )
 from fsind.cocycles import verify_cocycle
@@ -41,6 +43,7 @@ from fsind.indicators import nu_brute
 
 
 GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parent.parent / "data"
 FIXED = [[0, 0, 0], [1, 1, 1]]  # the trivial right action of Z_2 on Z_3
 
 
@@ -89,11 +92,26 @@ class TestMatchedPairs:
         with pytest.raises(ValueError, match=r"needs \|G\| = 2 rows of \|F\| = 3 entries"):
             MatchedPair(make_cyclic(3), make_cyclic(2), right, left)
 
-    def test_bicrossed_is_a_group(self):
+    def test_builders_make_group_tables(self):
+        # every builder passes check=False, vouching for its table: the check
+        # it skips (shape, range, inverses, identity, associativity) passes
+        z4xz6 = direct_product(make_cyclic(4), make_cyclic(6))
+        groups = [make_cyclic(n) for n in (*range(1, 13), 400)]
+        groups += [make_dihedral(n) for n in range(4, 25, 2)]
+        groups += [z4xz6, direct_product(make_dihedral(6), make_cyclic(5))]
+        groups.append(parse_group_spec("product:cyclic:2,product:dihedral:6,cyclic:4"))
+        groups += [z4xz6.subgroup(z4xz6.torsion(n))[0] for n in (2, 3, 6)]
+        groups += [make_cyclic(12).subgroup(make_cyclic(12).torsion(4))[0]]
         for pair in (h2n2_pair(3), hn3_pair(3), family_suzuki_noncyclic(2, 2, 1).pair):
-            grp = bicrossed_product(pair)  # built unchecked: the pair's laws make it a group
-            grp._check_axioms()  # Light's test, which raises if they do not
-            assert grp.order == pair.F.order * pair.G.order
+            groups.append(bicrossed_product(pair))
+        groups += [fam.build(*params).group for fam in FAMILIES.values() for params in fam.grid]
+        groups.append(parse_family_spec(f"bismash:{GOLDEN / 'z2_on_z3.pair'}").group)
+        for grp in groups:
+            grp._check_axioms()
+        groups.append(group_from_table_file(DATA / "q8.txt"))
+        for grp in groups:
+            for g in range(grp.order):
+                assert grp.mul(g, grp.inv(g)) == grp.mul(grp.inv(g), g) == 0, (grp, g)
 
     def test_power_iteration_matches_group_power(self):
         for pair in (h2n2_pair(4), hn3_pair(3), family_suzuki_noncyclic(2, 3, 1).pair):

@@ -71,17 +71,12 @@ class ThreeCocycle:
         grp = self.group
         m = self.value_order
         f = self.exp_fn
-        mul = grp.mul
         profile: dict[tuple[int, int, int], int] = {}
         seen = bytearray(grp.order)
         for g in range(grp.order):
             if seen[g]:
                 continue
-            powers = [0]  # g^0 .. g^(o-1)
-            gk = g
-            while gk:
-                powers.append(gk)
-                gk = mul(gk, g)
+            powers = grp.powers(g)  # g^0 .. g^(o-1)
             o = len(powers)
             acc = sum(f(g, x, g) for x in powers[1:])  # k = 1 .. o - 1
             if not self.is_cocycle:
@@ -123,7 +118,7 @@ def psi(n, r):
     if n < 1:
         raise ValueError("cyclic order must be positive")
     return ThreeCocycle(
-        make_cyclic_cached(n), n * n, _psi_exp(n, r), label=f"psi_{n}^{r}", is_cocycle=True
+        make_cyclic(n), n * n, _psi_exp(n, r), label=f"psi_{n}^{r}", is_cocycle=True
     )
 
 
@@ -137,19 +132,6 @@ def _psi_exp(n, r):
     return exp_fn
 
 
-# psi() is often called repeatedly with the same n in sweeps; building the
-# cyclic group once keeps those loops cheap.
-_cyclic_cache: dict[int, FiniteGroup] = {}
-
-
-def make_cyclic_cached(n):
-    grp = _cyclic_cache.get(n)
-    if grp is None:
-        grp = make_cyclic(n)
-        _cyclic_cache[n] = grp
-    return grp
-
-
 def psi_on(group, r):
     """psi^r on any cyclic group, read through the discrete log to its
     smallest generator (on Z_N that generator is 1 and the log the identity)."""
@@ -158,10 +140,8 @@ def psi_on(group, r):
     if gen is None:
         raise CocycleError("psi cocycles require a cyclic group")
     log = [0] * n
-    x = 0
-    for k in range(n):
+    for k, x in enumerate(group.powers(gen)):
         log[x] = k
-        x = group.mul(x, gen)
     base = _psi_exp(n, r)
     return ThreeCocycle(
         group, n * n, lambda a, b, c: base(log[a], log[b], log[c]), f"psi_{n}^{r}", is_cocycle=True

@@ -22,9 +22,9 @@ from typing import Callable
 
 from .cocycles import ThreeCocycle
 from .groups import (
+    BicrossedGroup,
     FiniteGroup,
     SpecError,
-    bicrossed_rows,
     check_order,
     direct_product,
     make_cyclic,
@@ -99,23 +99,17 @@ def trivial_pair(f_group, g_group):
 def bicrossed_product(pair):
     """The group F |><| G on pairs (x, g) encoded as x*|G| + g, built
     unchecked from the action tables: constructing the pair checked them."""
-    return FiniteGroup(
-        pair.F.order * pair.G.order,
-        bicrossed_rows(pair.F, pair.G, pair.act_left, pair.act_right),
-        label=f"({pair.F.label}|><|{pair.G.label})",
-        check=False,
-    )
+    label = f"({pair.F.label}|><|{pair.G.label})"
+    return BicrossedGroup(pair.F, pair.G, pair.act_left, pair.act_right, label)
 
 
 def power_iteration(pair, x, g, n):
     """(x_n, g_n) with (x, g)^n = (x_n, g_n) in the bicrossed product."""
     if n < 1:
         raise ValueError("n must be positive")
-    xn, gn = x, g
-    for _ in range(n - 1):
-        xn = pair.F.mul(x, pair.act_left[g][xn])
-        gn = pair.G.mul(pair.act_right[gn][x], g)
-    return xn, gn
+    ng = pair.G.order
+    powers = bicrossed_product(pair).powers(x * ng + g)
+    return divmod(powers[n % len(powers)], ng)
 
 
 @dataclass
@@ -123,13 +117,13 @@ class ExtensionData:
     """Normalized extension cocycle data (sigma, tau) over a matched pair.
 
     sigma_exp(g; x, y) and tau_exp(g, h; x) give values as integer exponents
-    of exp(2*pi*i/value_order).
+    of exp(2*pi*i/value_order); None stands for a term that is 1 throughout.
     """
 
     pair: MatchedPair
     value_order: int
-    sigma_exp: Callable[[int, int, int], int]
-    tau_exp: Callable[[int, int, int], int]
+    sigma_exp: Callable[[int, int, int], int] | None
+    tau_exp: Callable[[int, int, int], int] | None
     label: str = "extension"
 
 
@@ -164,21 +158,29 @@ def omega_from_extension(data):
     sigma = data.sigma_exp
     tau = data.tau_exp
 
+    # one function per set of terms present: no call returns a constant 0
     def exp_fn(p, q, r):
         y_f, y_g = divmod(q, ng)
-        x_g = p % ng
-        z_f = r // ng
+        x_g, z_f = p % ng, r // ng
         return sigma(x_g, y_f, act_l[y_g][z_f]) + tau(act_r[x_g][y_f], y_g, z_f)
+
+    def sigma_only(p, q, r):
+        y_f, y_g = divmod(q, ng)
+        return sigma(p % ng, y_f, act_l[y_g][r // ng])
+
+    def tau_only(p, q, r):
+        y_f, y_g = divmod(q, ng)
+        return tau(act_r[p % ng][y_f], y_g, r // ng)
+
+    if sigma is None:
+        exp_fn = tau_only if tau else lambda p, q, r: 0  # neither: omega = 1
+    elif tau is None:
+        exp_fn = sigma_only
 
     omega = ThreeCocycle(
         grp, data.value_order, exp_fn, label=f"omega[{data.label}]", block=ng, is_cocycle=True
     )
     return GTCategory(grp, omega, label=data.label)
-
-
-def _zero(a, b, c):
-    """sigma or tau of data that has none."""
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +253,7 @@ def family_hn3(n, xi_exp, zeta_exp, lambda_exp=None):
         zet = n * zeta_exp * (a * j * k + (a * (a - 1) // 2) * j * l)
         return (a * lam + zet) % nn
 
-    return ExtensionData(pair, nn, _zero, tau_exp, label=f"H_{n ** 3}(xi^{xi_exp},zeta^{zeta_exp})")
+    return ExtensionData(pair, nn, None, tau_exp, label=f"H_{n ** 3}(xi^{xi_exp},zeta^{zeta_exp})")
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +302,7 @@ def _suzuki_data(g_group, l, chi, beta, eta_exp, label):
             acc += chi[g]
         return acc % m
 
-    return ExtensionData(suzuki_pair(g_group, l), m, sigma_exp, _zero, label=label)
+    return ExtensionData(suzuki_pair(g_group, l), m, sigma_exp, None, label=label)
 
 
 def family_suzuki_cyclic(n, l, alpha, beta, eta_exp=None):
@@ -344,7 +346,7 @@ def family_suzuki_noncyclic(n, l, beta):
 def family_bismash(pair):
     """Extension data of the bismash product: sigma = tau = 1."""
     label = f"bismash[({pair.F.label}|><|{pair.G.label})]"
-    return ExtensionData(pair, 1, _zero, _zero, label=label)
+    return ExtensionData(pair, 1, None, None, label=label)
 
 
 def pair_from_file(path):

@@ -1,9 +1,9 @@
 """Finite groups as multiplication tables on integer indices.
 
 Elements of a group of order n are the integers 0..n-1, with 0 always the
-identity.  Every group is tabulated as n rows of n indices, which keeps the
-indicator loops at O(1) per product.  Every built-in group is a bicrossed
-product of rows in range by construction, checked as a matched pair; only
+identity.  A group is tabulated as n rows of n indices on first need of a
+product; the powers of an element, all an indicator reads, need none (Z_n and
+every built-in bicrossed product walk them through their factors).  Only
 table files and callers' tables get the exact axiom check (`check=True`).
 """
 
@@ -33,14 +33,14 @@ def check_order(order):
 class FiniteGroup:
     """A finite group on element indices 0..order-1 with identity 0."""
 
-    __slots__ = ("order", "label", "_table", "_orders", "_gens")
+    __slots__ = ("order", "label", "_source", "_rows", "_orders", "_gens")
 
     def __init__(self, order, mul, label="G", check=True):
         """`mul` is the product as a callable mul(g, h), or the rows of the
-        table: an iterable of `order` lists of `order` indices, read once,
-        after the order cap (so a builder that yields rows makes none for a
-        rejected order).  The rows are kept as given, not copied, and checked
-        only with `check=True`; with `check=False` the caller vouches for them."""
+        table: an iterable of `order` lists of `order` indices, read once, on
+        first need of the table (so a builder that yields rows makes none
+        before).  The rows are kept as given, not copied, and checked only
+        with `check=True`, at once; with `check=False` the caller vouches."""
         if order < 1:
             raise ValueError("group order must be positive")
         check_order(order)
@@ -52,23 +52,32 @@ class FiniteGroup:
             # it would otherwise be an object of its own)
             get = {x: x for x in range(order)}.get
             rows = ([get(v, v) for v in map(mul, repeat(g), range(order))] for g in range(order))
-        self._table = list(rows)
-        self._gens = None
+        self._source = rows  # None once read into _rows
+        self._orders = self._gens = None
         if check:
             self._check_axioms()
-        self._orders = self._element_orders()
+
+    @property
+    def _table(self):
+        """The rows, read from the source on first need."""
+        if self._source is not None:
+            self._rows, self._source = list(self._source), None
+        return self._rows
 
     # -- structure ----------------------------------------------------------
 
     def mul(self, g, h):
-        return self._table[g][h]
+        try:  # a slot read, not the property: mul is the hot path
+            return self._rows[g][h]
+        except AttributeError:  # not tabulated yet
+            return self._table[g][h]
 
     @property
     def identity(self):
         return 0
 
     def inv(self, g):
-        return self.power(g, self._orders[g] - 1)
+        return self.power(g, self.element_order(g) - 1)
 
     def generators(self):
         """An irredundant generating set, computed once: the greedy one (each
@@ -156,28 +165,31 @@ class FiniteGroup:
             k >>= 1
         return acc
 
+    def powers(self, g):
+        """[g^0, g^1, ..., g^(o-1)] with o = ord g, walked along row g."""
+        row, out, x = self._table[g], [0], g
+        while x:
+            out.append(x)
+            x = row[x]
+            if len(out) > self.order:
+                raise ValueError(f"element {g} has no finite order")
+        return out
+
     def _element_orders(self):
         """Every element's order, from one walk per cyclic subgroup: if g has
         order k, then g^j has order k / gcd(j, k)."""
-        n = self.order
-        orders = [0] * n
-        orders[0] = 1
-        for g, row in enumerate(self._table):
-            if orders[g]:
-                continue
-            powers = [g]  # g^1 .. g^k, with g^k = 1
-            x = g
-            while x:
-                x = row[x]
-                powers.append(x)
-                if len(powers) > n:
-                    raise ValueError(f"element {g} has no finite order")
-            k = len(powers)
-            for j, p in enumerate(powers, 1):
-                orders[p] = k // math.gcd(j, k)
+        orders = [0] * self.order
+        for g in range(self.order):
+            if not orders[g]:
+                ps = self.powers(g)
+                k = len(ps)
+                for j, p in enumerate(ps):
+                    orders[p] = k // math.gcd(j, k)
         return orders
 
     def element_order(self, g):
+        if self._orders is None:
+            self._orders = self._element_orders()
         return self._orders[g]
 
     def torsion(self, n):
@@ -280,6 +292,42 @@ def bicrossed_rows(f_group, g_group, left, right):
     yield from rows
 
 
+class BicrossedGroup(FiniteGroup):
+    """F |><| G on pairs (x, g) encoded as x*|G| + g, from the factors and
+    the action tables (as in bicrossed_rows), tabulated on first need."""
+
+    __slots__ = ("_pair",)
+
+    def __init__(self, f_group, g_group, left, right, label):
+        self._pair = pair = (f_group, g_group, left, right)
+        super().__init__(f_group.order * g_group.order, bicrossed_rows(*pair), label, check=False)
+
+    def powers(self, p):
+        """The powers of p = (x, g) through the factor and action tables, no
+        product table.  (x, g)^(k+1) has F-part x (g |> x_k), that of
+        (x, g)(x_k, g_k), and G-part (g_k <| x) g, that of (x_k, g_k)(x, g),
+        so each part steps from its own last value."""
+        f_group, g_group, left, right = self._pair
+        ng = g_group.order
+        x, g = divmod(p, ng)
+        fx, lg, gm = f_group._table[x], left[g], g_group._table
+        out, xk, gk = [0], x, g
+        while xk or gk:
+            out.append(xk * ng + gk)
+            xk, gk = fx[lg[xk]], gm[right[gk][x]][g]
+        return out
+
+
+class CyclicGroup(FiniteGroup):
+    """Z_n (addition mod n), whose powers are multiples: no table."""
+
+    __slots__ = ()
+
+    def powers(self, g):
+        n = self.order
+        return [k * g % n for k in range(n // math.gcd(g, n))]
+
+
 def make_cyclic(n):
     """The cyclic group Z_n (addition mod n)."""
     if n < 1:
@@ -290,7 +338,7 @@ def make_cyclic(n):
         for g in range(n):
             yield base[g:] + base[:g]
 
-    return FiniteGroup(n, rows(), label=f"Z{n}", check=False)
+    return CyclicGroup(n, rows(), label=f"Z{n}", check=False)
 
 
 def make_dihedral(two_l):
@@ -302,15 +350,14 @@ def make_dihedral(two_l):
     half = two_l // 2
     left = [list(range(half)), [-y % half for y in range(half)]]
     right = [[0] * half, [1] * half]
-    rows = bicrossed_rows(make_cyclic(half), make_cyclic(2), left, right)
-    return FiniteGroup(two_l, rows, label=f"D{two_l}", check=False)
+    return BicrossedGroup(make_cyclic(half), make_cyclic(2), left, right, f"D{two_l}")
 
 
 def direct_product(a, b):
     """A x B with pair (x, y) encoded as x*|B| + y: both actions trivial."""
     na, nb = a.order, b.order
-    rows = bicrossed_rows(a, b, [range(na)] * nb, [[y] * na for y in range(nb)])
-    return FiniteGroup(na * nb, rows, label=f"({a.label}x{b.label})", check=False)
+    left, right = [range(na)] * nb, [[y] * na for y in range(nb)]
+    return BicrossedGroup(a, b, left, right, f"({a.label}x{b.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -373,5 +420,6 @@ def parse_group_spec(spec):
     else:
         raise SpecError(f"unknown group spec: {spec!r}")
     for left in reversed(factors):
+        grp._table  # tabulated here: a chain left to first need would recurse once a factor
         grp = direct_product(left, grp)
     return grp

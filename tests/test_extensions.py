@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from itertools import permutations, product
@@ -20,10 +21,12 @@ from fsind.groups import (
     make_dihedral,
     parse_group_spec,
 )
-from fsind.cocycles import verify_cocycle
+from fsind.cocycles import c_omega, psi, verify_cocycle
+from fsind.cyclotomic import divisors
 from fsind.extensions import (
     FAMILIES,
     ExtensionData,
+    GTCategory,
     MatchedPair,
     bicrossed_product,
     family_bismash,
@@ -39,7 +42,7 @@ from fsind.extensions import (
     power_iteration,
     trivial_pair,
 )
-from fsind.indicators import nu_brute
+from fsind.indicators import frobenius_check, nu_brute
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -140,18 +143,19 @@ def bicrossed_mul(pair):
 
 
 def assert_matches_closure(grp, mul):
-    """grp's table equals the closure's entry for entry, and its element
-    orders equal those found by multiplying by g until the identity."""
+    """grp's table equals the closure's entry for entry, and its powers and
+    element orders equal those found by multiplying by g until the identity."""
     n = grp.order
+    for g in range(n):
+        walk, x = [0], g
+        while x != 0:
+            walk.append(x)
+            x = mul(x, g)
+        assert grp.powers(g) == walk, (grp, g)
+        assert grp.element_order(g) == len(walk), (grp, g)
     assert [[grp.mul(g, h) for h in range(n)] for g in range(n)] == [
         [mul(g, h) for h in range(n)] for g in range(n)
     ]
-    for g in range(n):
-        k, x = 1, g
-        while x != 0:
-            x = mul(x, g)
-            k += 1
-        assert grp.element_order(g) == k, (grp, g)
 
 
 @st.composite
@@ -168,15 +172,18 @@ def semidirect_pairs(draw):
     return MatchedPair(zk, zm, right, [list(range(k))] * m)
 
 
-def symmetric_factorization(n):
+def symmetric_factorization(n, swap=False):
     """S_n = S_(n-1) Z_n: F fixes n-1, G is generated by the n-cycle c, and
-    g y = (g |> y)(g <| y) with both actions nontrivial for n >= 4."""
+    g y = (g |> y)(g <| y) with both actions nontrivial for n >= 4.  With
+    swap, F = Z_n and G = S_(n-1), which is not abelian for n >= 4."""
     perms = list(permutations(range(n - 1)))  # the identity first
     f_elems = [p + (n - 1,) for p in perms]
     cycle = tuple((i + 1) % n for i in range(n))
     g_elems = [tuple(range(n))]
     for _ in range(n - 1):
         g_elems.append(tuple(cycle[i] for i in g_elems[-1]))
+    if swap:
+        f_elems, g_elems = g_elems, f_elems
 
     def compose(p, q):
         return tuple(p[i] for i in q)
@@ -200,7 +207,7 @@ def symmetric_factorization(n):
         left.append(lrow)
         right.append(rrow)
     f_group = FiniteGroup(len(f_elems), lambda a, b: f_index[compose(f_elems[a], f_elems[b])])
-    g_group = FiniteGroup(n, lambda a, b: g_index[compose(g_elems[a], g_elems[b])])
+    g_group = FiniteGroup(len(g_elems), lambda a, b: g_index[compose(g_elems[a], g_elems[b])])
     return MatchedPair(f_group, g_group, right, left)
 
 
@@ -208,7 +215,7 @@ CLOSURE_PAIRS = (
     [h2n2_pair(n) for n in (2, 3, 5)]
     + [hn3_pair(n) for n in (3, 5)]
     + [family_suzuki_noncyclic(n, l, 1).pair for n in (2, 4) for l in (2, 3)]
-    + [symmetric_factorization(n) for n in (3, 4)]
+    + [symmetric_factorization(n, swap) for n in (3, 4) for swap in (False, True)]
     + [family_suzuki_cyclic(n, l, -1, 1).pair for n in (1, 2, 3, 5) for l in (2, 3, 4)]
 )
 
@@ -506,3 +513,106 @@ class TestFamilySpecs:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             parse_family_spec("mystery:1")
+
+
+# ---------------------------------------------------------------------------
+# powers without a product table
+
+
+def tabulated(grp):
+    """The same group as a plain table, whose powers walk its rows."""
+    return FiniteGroup(grp.order, grp._table, label=grp.label, check=False)
+
+
+def assert_walks_match_the_table(cat):
+    """The order profile and element orders, read from powers walked through
+    the factors with no product table, equal those of the tabulated group,
+    and each walk is g^0, g^1, ... by repeated mul up to the identity."""
+    grp, omega = cat.group, cat.omega
+    profile, orders = omega.order_profile, grp._element_orders()
+    assert grp._source is not None, cat.label  # no product table was read
+    table = tabulated(grp)
+    assert dataclasses.replace(omega, group=table).order_profile == profile, cat.label
+    assert table._element_orders() == orders, cat.label
+    for g in range(grp.order):
+        powers, x = grp.powers(g), 0
+        for p in powers:
+            assert p == x, (cat.label, g)
+            x = grp.mul(x, g)
+        assert x == 0 and 0 not in powers[1:], (cat.label, g)
+
+
+def grid_categories():
+    cats = [fam.build(*params) for fam in FAMILIES.values() for params in fam.grid]
+    cats.append(parse_family_spec(f"bismash:{GOLDEN / 'z2_on_z3.pair'}"))
+    return cats
+
+
+@st.composite
+def off_grid_specs(draw):
+    """A family spec of order under 300 with any admissible parameters."""
+    kind = draw(st.sampled_from(("h2n2", "hn3", "suzuki", "suzukiP")))
+    sign = st.sampled_from((1, -1))
+    if kind == "h2n2":  # 2N^2 < 300
+        n = draw(st.integers(2, 12))
+        return f"h2n2:{n}:{draw(st.integers(0, n - 1))}"
+    if kind == "hn3":  # N^3 < 300
+        n = draw(st.sampled_from((3, 5)))
+        return f"hn3:{n}:{draw(st.integers(0, n - 1))}:{draw(st.integers(0, n - 1))}"
+    if kind == "suzuki":  # 4NL < 300, (N, alpha) != (even, +1)
+        n = draw(st.integers(1, 37))
+        alpha = draw(sign) if n % 2 else -1
+        return f"suzuki:{n}:{draw(st.integers(2, 74 // n))}:{alpha}:{draw(sign)}"
+    n = draw(st.integers(1, 18)) * 2
+    return f"suzukiP:{n}:{draw(st.integers(2, 74 // n))}:{draw(sign)}"
+
+
+class TestTableFreeWalks:
+    def test_grid_categories(self):
+        for cat in grid_categories():
+            assert_walks_match_the_table(cat)
+
+    def test_psi(self):
+        for big_n, r in ((1, 0), (12, 5), (400, 7)):
+            w = psi(big_n, r)
+            assert_walks_match_the_table(GTCategory(w.group, w))
+
+    @settings(max_examples=25, deadline=None)
+    @given(off_grid_specs())
+    def test_off_grid_categories(self, spec):
+        assert_walks_match_the_table(parse_family_spec(spec))
+
+
+class TestNoProductTable:
+    """Building a category and reading its indicators tabulate no group of
+    the category; a check that reads every product still tabulates it."""
+
+    def test_indicators_read_no_table(self):
+        w = psi(400, 7)
+        for cat in grid_categories() + [GTCategory(w.group, w)]:
+            grp = cat.group
+            assert grp._source is not None, cat.label
+            for n in divisors(grp.order):
+                nu_brute(cat, n)
+            c_omega(cat.omega)
+            frobenius_check(cat)
+            assert grp._source is not None, cat.label
+
+    def test_checks_still_read_every_product(self):
+        # verify_cocycle and conjugacy_classes on a group that has not been
+        # tabulated give the reports of the same group tabulated from the
+        # per-entry closure
+        for fam in FAMILIES.values():
+            for params in fam.grid:
+                cat = fam.build(*params)
+                if cat.group.order > 48:
+                    continue
+                pair = fam.data(*params).pair
+                grp = cat.group
+                closure = FiniteGroup(grp.order, bicrossed_mul(pair), check=False)
+                report = verify_cocycle(dataclasses.replace(cat.omega, group=closure))
+                assert report.ok and verify_cocycle(cat.omega) == report, cat.label
+                assert grp.conjugacy_classes() == closure.conjugacy_classes(), cat.label
+                assert grp._source is None
+        z400 = psi(400, 7).group
+        assert z400.conjugacy_classes() == [[g] for g in range(400)]

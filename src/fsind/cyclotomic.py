@@ -13,8 +13,9 @@ Z[zeta_gcd(a, b)] (Washington, Introduction to Cyclotomic Fields, ch. 2).
 The constructor establishes this once, in `_shrink_conductor`, so equal
 values have equal conductors and equal coefficients.
 
-Each ring operation canonicalizes at most once; a product with a rational c
-(negation is c = -1) not at all: c != 0 keeps the support, and c*x in
+Each ring operation canonicalizes once at the conductor it works at, plus
+once at the minimal conductor when that is smaller; a product with a rational
+c (negation is c = -1) not at all: c != 0 keeps the support, and c*x in
 Z[zeta_d] puts x in Q(zeta_d) & Z[zeta_M] = Z[zeta_d], so the conductor stays.
 
 The power basis 1, zeta, ..., zeta^{phi(M)-1} (remainder modulo the M-th
@@ -162,33 +163,21 @@ class CyclotomicInteger:
     # -- internal normal form ----------------------------------------------
 
     def _shrink_conductor(self) -> None:
-        """Lower the conductor to the minimal one, prime by prime.
+        """Lower the conductor to the minimal one d, found by one gcd.
 
-        If the value lies in Z[zeta_d] with d | M, every canonical exponent at
-        M is a multiple of M/d: zeta_d^y = zeta_M^{(M/d)y}, and each reduction
-        step by M/p keeps that divisibility (for p not dividing d the
-        exponents are 0 mod p^e and need no p-step; for p | d, p^(e-1)
-        divides M/p; the other primes' shares divide M/p wholly).
-        Conversely, if p divides every exponent the value lies in
-        Z[zeta_{M/p}].  So stripping, for each p, the largest power of p that
-        divides every exponent leaves the minimal conductor.  It is never
-        2 mod 4: phi(2) = 1 makes every canonical exponent even there, so the
-        2 is always stripped.
+        With g = gcd(M, every canonical exponent), the value lies in
+        Z[zeta_{M/g}], so d divides M/g.  Conversely every canonical exponent
+        at M is a multiple of M/d: zeta_d^y = zeta_M^{(M/d)y}, and each
+        reduction step by M/p keeps that divisibility (for p not dividing d
+        the exponents are 0 mod p^e and need no p-step; for p | d, p^(e-1)
+        divides M/p; the other primes' shares divide M/p wholly).  So M/d
+        divides g, and M/g = d (zero has no exponents: g = M, d = 1).  It is
+        never 2 mod 4, as Z[zeta_2k] = Z[zeta_k] for odd k.
         """
-        if not self._coeffs:
-            self.conductor = 1
-            return
-        for p, pe, _ in _prime_powers(self.conductor):
-            s = pe
-            for x in self._coeffs:
-                while s > 1 and x % s:
-                    s //= p
-                if s == 1:
-                    break
-            if s > 1:
-                m2 = self.conductor // s
-                self.conductor = m2
-                self._coeffs = _canonicalize(m2, {(x // s) % m2: c for x, c in self._coeffs.items()})
+        g = math.gcd(self.conductor, *self._coeffs)
+        if g > 1:
+            m = self.conductor = self.conductor // g
+            self._coeffs = _canonicalize(m, {x // g: c for x, c in self._coeffs.items()})
 
     def _embed(self, target: int) -> dict[int, int]:
         """Coefficients at a multiple of the conductor (x -> kx), not reduced."""
@@ -442,8 +431,18 @@ def _sqrt_prime(p: int) -> CyclotomicInteger:
     return (-I_UNIT) * s
 
 
+@lru_cache(maxsize=None)
+def _gauss_unit(m: int, a_mod_4: int) -> CyclotomicInteger:
+    """eps_m * sqrt(m): S(a, m) = +-_gauss_unit(m, a % 4) for gcd(a, m) = 1 and
+    m != 2 mod 4.  a_mod_4 is 0 unless 4 | m, so m has at most two entries."""
+    if m % 2:
+        return sqrt_int(m) if m % 4 == 1 else I_UNIT * sqrt_int(m)
+    return sqrt_int(m) * (ONE + (I_UNIT if a_mod_4 == 1 else -I_UNIT))
+
+
 def gauss_sum_closed(a: int, m: int) -> CyclotomicInteger:
-    """S(a, m) by the classical closed forms (quadratic reciprocity case split)."""
+    """S(a, m) by the classical closed forms: for gcd(a, m) = 1, a Jacobi sign
+    times eps_m * sqrt(m), a unit cached per modulus class (m, a mod 4 if 4 | m)."""
     if m < 1:
         raise ValueError("modulus must be positive")
     a %= m
@@ -454,13 +453,11 @@ def gauss_sum_closed(a: int, m: int) -> CyclotomicInteger:
     d = math.gcd(a, m)
     if d > 1:
         return d * gauss_sum_closed(a // d, m // d)
-    if m % 2 == 1:
-        val = jacobi_symbol(a, m) * sqrt_int(m)
-        return val if m % 4 == 1 else I_UNIT * val
-    if m % 4 == 0:
-        unit = ONE + (I_UNIT if a % 4 == 1 else -I_UNIT)
-        return jacobi_symbol(m, a) * sqrt_int(m) * unit
-    return CyclotomicInteger.zero()  # m = 2 mod 4
+    if m % 4 == 2:
+        return CyclotomicInteger.zero()
+    if m % 2:
+        return _gauss_unit(m, 0)._scaled(jacobi_symbol(a, m))
+    return _gauss_unit(m, a % 4)._scaled(jacobi_symbol(m, a))
 
 
 def divide_by_sqrt_p_and_test(x: CyclotomicInteger, n: int, p: int) -> bool:

@@ -33,8 +33,9 @@ small_values = st.builds(
     lambda seed: rand_value(random.Random(seed)), st.integers(0, 10_000)
 )
 
-# composite conductors with several proper subfields each
-WIDE_CONDUCTORS = CONDUCTORS + [28, 30, 36, 40, 45, 48, 60]
+# composite conductors with several proper subfields each; 84 and 210 have
+# three and four primes, so one shrink can strip several at once
+WIDE_CONDUCTORS = CONDUCTORS + [28, 30, 36, 40, 45, 48, 60, 84, 210]
 OPERATIONS = [
     lambda x, y: x + y,
     lambda x, y: x * y,

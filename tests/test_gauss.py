@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsind import cyclotomic
 from fsind.cyclotomic import (
     CyclotomicInteger,
+    divisors,
     divide_by_sqrt_p_and_test,
     gauss_sum_closed,
     gauss_sum_direct,
@@ -77,6 +79,35 @@ class TestGaussSums:
             for a in range(m):
                 closed = gauss_sum_closed(a, m).to_json_dict()
                 assert closed == gauss_sum_direct(a, m).to_json_dict(), (a, m)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_equals_direct_off_the_grid(self, data):
+        # m beyond the exhaustive range; a of any sign, often sharing factors with m
+        m = data.draw(st.integers(81, 600))
+        a = data.draw(st.sampled_from(divisors(m))) * data.draw(st.integers(-2000, 2000))
+        closed, direct = gauss_sum_closed(a, m), gauss_sum_direct(a, m)
+        assert closed == direct, (a, m)
+        assert closed.to_json_dict() == direct.to_json_dict(), (a, m)
+
+    def test_repeated_closed_forms_make_no_ring_products(self, monkeypatch):
+        # the unit eps_m * sqrt(m) is built once per modulus class; a second
+        # pass only scales it, reducing nothing above conductor 1
+        pairs = [(a, m) for m in range(1, 81) for a in range(m)]
+        for a, m in pairs:
+            gauss_sum_closed(a, m)
+        reductions = []
+        canonicalize = cyclotomic._canonicalize
+
+        def counted(m, coeffs):
+            if m > 1:
+                reductions.append(m)
+            return canonicalize(m, coeffs)
+
+        monkeypatch.setattr(cyclotomic, "_canonicalize", counted)
+        for a, m in pairs:
+            gauss_sum_closed(a, m)
+        assert reductions == []
 
     def test_zero_cases(self):
         # a odd, m = 2 mod 4 with gcd stripped gives 0

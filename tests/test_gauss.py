@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from fsind import cyclotomic
 from fsind.cyclotomic import (
     CyclotomicInteger,
-    divisors,
     divide_by_sqrt_p_and_test,
+    divisors,
     gauss_sum_closed,
     gauss_sum_direct,
     jacobi_symbol,

@@ -36,9 +36,12 @@ EXIT_COCYCLE = 3
 EXIT_FROBENIUS = 4
 EXIT_MISMATCH = 5
 
+# The most n values one --n list may hold, counted before any is made
+MAX_N_VALUES = 100_000
+
 
 def parse_n_list(text, group_order=None):
-    """Parse `1,2,3`, ranges `1..27`, and the keyword `all-divisors`."""
+    """Parse `1,2,3`, ranges `1..27` and `all-divisors`: MAX_N_VALUES values at most."""
     out = []
     for item in text.split(","):
         item = item.strip()
@@ -47,15 +50,19 @@ def parse_n_list(text, group_order=None):
         if item == "all-divisors":
             if group_order is None:
                 raise SpecError("all-divisors needs a group context")
-            out.extend(divisors(group_order))
+            values = divisors(group_order)
         elif ".." in item:
             lo, _, hi = item.partition("..")
             lo_i, hi_i = (spec_int(end, f"bad range {item!r}") for end in (lo, hi))
             if lo_i > hi_i or lo_i < 1:
                 raise SpecError(f"bad range {item!r}")
-            out.extend(range(lo_i, hi_i + 1))
+            # cut one past the cap, so a longer range is refused below
+            values = range(lo_i, min(hi_i, lo_i + MAX_N_VALUES) + 1)
         else:
-            out.append(spec_int(item, f"bad n value {item!r}"))
+            values = [spec_int(item, f"bad n value {item!r}")]
+        if len(out) + len(values) > MAX_N_VALUES:
+            raise SpecError(f"an n list may hold at most {MAX_N_VALUES} values")
+        out.extend(values)
     if not out or any(n < 1 for n in out):
         raise SpecError(f"invalid n list {text!r}")
     return list(dict.fromkeys(out))

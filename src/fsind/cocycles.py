@@ -252,18 +252,16 @@ def verify_cocycle(cocycle, mode="auto"):
 
 
 def omega_tilde_root(cocycle, n, g):
-    """omega_tilde_n(g) as a RootOfUnity, or None when g^n != identity."""
-    grp = cocycle.group
-    if grp.power(g, n) != 0:
+    """omega_tilde_n(g) as a RootOfUnity, or None when g^n != identity: the
+    product over k = 1..n-1 term by term, g^k read from group.powers(g), with
+    no table and no period shortcut (the order profile's literal oracle)."""
+    ps = cocycle.group.powers(g)
+    o = len(ps)
+    if n % o:
         return None
     m = cocycle.value_order
     f = cocycle.exp_fn
-    mul = grp.mul
-    acc = 0
-    gk = g
-    for _ in range(1, n):
-        acc += f(g, gk, g)
-        gk = mul(gk, g)
+    acc = sum(f(g, ps[k % o], g) for k in range(1, n))
     return RootOfUnity(m, acc % m)
 
 

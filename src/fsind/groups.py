@@ -2,9 +2,9 @@
 
 Elements of a group of order n are the integers 0..n-1, with 0 always the
 identity.  A group is tabulated as n rows of n indices on first need of a
-product; the powers of an element, all an indicator reads, need none (Z_n and
-every built-in bicrossed product walk them through their factors).  Only
-table files and callers' tables get the exact axiom check (`check=True`).
+product; the powers of an element, all an indicator, `power` or `inv` reads,
+need none (Z_n and every built-in bicrossed product walk them through their
+factors).  Only table files and callers' tables get the exact axiom check.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class FiniteGroup:
         return 0
 
     def inv(self, g):
-        return self.power(g, self.element_order(g) - 1)
+        return self.powers(g)[-1]
 
     def generators(self):
         """An irredundant generating set, computed once: the greedy one (each
@@ -153,17 +153,9 @@ class FiniteGroup:
     # -- element queries ----------------------------------------------------
 
     def power(self, g, k):
-        """g^k by square-and-multiply; negative k via the inverse."""
-        if k < 0:
-            return self.power(self.inv(g), -k)
-        acc = 0
-        base = g
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
+        """g^k for any integer k, read from the walk powers(g)."""
+        ps = self.powers(g)
+        return ps[k % len(ps)]
 
     def powers(self, g):
         """[g^0, g^1, ..., g^(o-1)] with o = ord g, walked along row g."""
@@ -207,13 +199,14 @@ class FiniteGroup:
     def conjugacy_classes(self):
         """Partition of 0..order-1 into conjugacy classes (each sorted)."""
         seen = [False] * self.order
+        invs = list(map(self.inv, range(self.order)))
         classes = []
         for g in range(self.order):
             if seen[g]:
                 continue
             cls = set()
-            for x in range(self.order):
-                cls.add(self.mul(self.mul(x, g), self.inv(x)))
+            for x, x_inv in enumerate(invs):
+                cls.add(self.mul(self.mul(x, g), x_inv))
             for h in cls:
                 seen[h] = True
             classes.append(sorted(cls))

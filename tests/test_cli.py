@@ -9,6 +9,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -143,6 +144,19 @@ class TestNListParsing:
         for bad in ("", "0", "a", "3..1", "-2"):
             with pytest.raises(SpecError):
                 parse_n_list(bad)
+
+    def test_list_above_the_cap_is_refused_before_it_is_made(self, capsys):
+        assert len(parse_n_list(f"1..{cli.MAX_N_VALUES}")) == cli.MAX_N_VALUES
+        for text in (f"1..{cli.MAX_N_VALUES + 1}", f"5,1..{cli.MAX_N_VALUES}", f"1..{10**30}"):
+            with pytest.raises(SpecError):
+                parse_n_list(text)
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "gt", "--group", "cyclic:3", "--cocycle", "psi:1", "--n", "1..1000000000000"
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_PARSE and out == ""
+        assert f"at most {cli.MAX_N_VALUES} values" in err and "Traceback" not in err
 
 
 class TestGroupCommand:

@@ -21,7 +21,7 @@ from fsind.groups import (
     make_dihedral,
     parse_group_spec,
 )
-from fsind.cocycles import c_omega, psi, verify_cocycle
+from fsind.cocycles import c_omega, omega_tilde_root, psi, verify_cocycle
 from fsind.cyclotomic import divisors
 from fsind.extensions import (
     FAMILIES,
@@ -42,7 +42,7 @@ from fsind.extensions import (
     power_iteration,
     trivial_pair,
 )
-from fsind.indicators import frobenius_check, nu_brute
+from fsind.indicators import frobenius_check, nu_brute, nu_literal
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -116,15 +116,18 @@ class TestMatchedPairs:
             for g in range(grp.order):
                 assert grp.mul(g, grp.inv(g)) == grp.mul(grp.inv(g), g) == 0, (grp, g)
 
-    def test_power_iteration_matches_group_power(self):
+    def test_power_iteration_matches_repeated_products(self):
+        # against the product table: power() reads the same walk
         for pair in (h2n2_pair(4), hn3_pair(3), family_suzuki_noncyclic(2, 3, 1).pair):
             grp = bicrossed_product(pair)
             ng = pair.G.order
             for p in range(grp.order):
                 x, g = divmod(p, ng)
-                for n in (1, 2, 3, 5, 8):
+                acc = 0
+                for n in range(1, 9):
+                    acc = grp.mul(acc, p)
                     xn, gn = power_iteration(pair, x, g, n)
-                    assert xn * ng + gn == grp.power(p, n), (pair, p, n)
+                    assert xn * ng + gn == acc, (pair, p, n)
 
 
 # the per-entry multiplication closure bicrossed_product used before it was
@@ -594,8 +597,15 @@ class TestNoProductTable:
             assert grp._source is not None, cat.label
             for n in divisors(grp.order):
                 nu_brute(cat, n)
+                nu_literal(cat, n)
             c_omega(cat.omega)
             frobenius_check(cat)
+            for g in (1, grp.order // 2, grp.order - 1):
+                for n in (1, 2, 6, grp.order):
+                    omega_tilde_root(cat.omega, n, g)
+                for k in (-7, -1, 3, grp.order + 1):
+                    grp.power(g, k)
+                grp.inv(g)
             assert grp._source is not None, cat.label
 
     def test_checks_still_read_every_product(self):

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsind import extensions, groups
@@ -21,6 +22,8 @@ from fsind.groups import (
     parse_group_spec,
 )
 from fsind.extensions import parse_family_spec
+
+DATA = Path(__file__).parent.parent / "data"
 
 
 def quaternion_table():
@@ -281,14 +284,46 @@ class TestBuilders:
         assert group_table(parse_group_spec(spec)) == group_table(make_cyclic(5))
 
 
+def power_test_group(kind, n):
+    """Z_n, or a group of each other kind whose powers() is walked its own
+    way: bicrossed products through their factors, a table file and a
+    subgroup along a row."""
+    if kind == "cyclic":
+        return make_cyclic(n)
+    if kind == "dihedral":
+        return make_dihedral(14)
+    if kind == "product":
+        return direct_product(make_dihedral(6), make_cyclic(4))
+    if kind == "family":
+        return parse_family_spec("suzuki:3:2:-1:1").group
+    if kind == "table":
+        return group_from_table_file(DATA / "q8.txt")
+    d12 = make_dihedral(12)  # the D6 that r^2 and s generate
+    return d12.subgroup(d12.generated_subgroup([4, 1]))[0]
+
+
+POWER_TEST_KINDS = ("cyclic", "dihedral", "product", "family", "table", "subgroup")
+
+
 class TestElementQueries:
-    @given(st.integers(2, 40), st.integers(0, 1000), st.integers(-30, 30))
-    @settings(max_examples=80, deadline=None)
-    def test_power_matches_repeated_multiplication(self, n, gseed, k):
-        grp = make_cyclic(n)
-        g = gseed % n
+    @given(
+        st.sampled_from(POWER_TEST_KINDS), st.integers(2, 40), st.integers(0, 1000),
+        st.integers(-30, 30),
+    )
+    @example("dihedral", 2, 3, -5)
+    @example("product", 2, 7, -13)
+    @example("family", 2, 23, -29)
+    @example("table", 2, 3, -3)
+    @example("subgroup", 2, 5, -7)
+    @settings(max_examples=120, deadline=None)
+    def test_power_matches_repeated_multiplication(self, kind, n, gseed, k):
+        # power and inv read the powers() walk; the products here read the table
+        grp = power_test_group(kind, n)
+        g = gseed % grp.order
+        g_inv = next(h for h in range(grp.order) if grp.mul(g, h) == 0)
+        assert grp.inv(g) == g_inv
         expected = 0
-        step = g if k >= 0 else grp.inv(g)
+        step = g if k >= 0 else g_inv
         for _ in range(abs(k)):
             expected = grp.mul(expected, step)
         assert grp.power(g, k) == expected

@@ -14,13 +14,16 @@ from .cyclotomic import (
     sqrt_int,
 )
 from .groups import (
+    BicrossedGroup,
     FiniteGroup,
+    MatchedPair,
     SpecError,
     direct_product,
     group_from_table_file,
     make_cyclic,
     make_dihedral,
     parse_group_spec,
+    trivial_pair,
 )
 from .cocycles import (
     CocycleError,
@@ -41,8 +44,6 @@ from .extensions import (
     FAMILIES,
     ExtensionData,
     GTCategory,
-    MatchedPair,
-    bicrossed_product,
     family_bismash,
     family_h2n2,
     family_hn3,
@@ -51,7 +52,6 @@ from .extensions import (
     omega_from_extension,
     parse_family_spec,
     power_iteration,
-    trivial_pair,
 )
 from .indicators import (
     FrobeniusReport,

@@ -27,10 +27,11 @@ class CocycleError(ValueError):
 class ThreeCocycle:
     """A 3-cocycle on `group` valued in value_order-th roots of unity.
 
-    `exp_fn(g, h, k)` depends on k only through k // block; the exact check
-    reads one k per block (see verify_cocycle).  A block b > 1 also claims
-    that exp_fn reads g only through g % b, and the check builds one slice
-    omega(g, ., .) per g % b.  b = 1 claims nothing of either argument.
+    `exp_fn(g, h, k)` depends on k only through k // block, which is 1 or
+    group.coset_block; the exact check reads one k per block (see
+    verify_cocycle).  A block b > 1 also claims that exp_fn reads g only
+    through g % b, and the check builds one slice omega(g, ., .) per g % b.
+    b = 1 claims nothing of either argument.
 
     `is_cocycle` claims that exp_fn is a normalized 3-cocycle, and lets
     order_profile walk one element per cyclic subgroup.  It is set by the
@@ -115,8 +116,6 @@ def psi(n, r):
     Value at (j, k, l) is exp(2*pi*i/n^2 * r * jb*(kb + lb - (k+l)b)) where
     xb is the representative of x in 0..n-1.
     """
-    if n < 1:
-        raise ValueError("cyclic order must be positive")
     return ThreeCocycle(
         make_cyclic(n), n * n, _psi_exp(n, r), label=f"psi_{n}^{r}", is_cocycle=True
     )
@@ -159,14 +158,14 @@ def verify_cocycle(cocycle, mode="auto"):
     therefore checks D(s, h, k, l) for s in group.generators() alone:
     |S| * |G|^3 cases, exact at every order.
 
-    Mode "auto" also reads b = cocycle.block.  It first checks that the
-    blocks of b consecutive indices are the left cosets lH of H = {0..b-1}
-    (a ValueError if not).  Then k(lH) = (kl)H, so kl's block depends on l
-    only through l's block, and every term of D reads l or kl through its
-    block alone: D(s, h, k, .) is constant on blocks, and l = 0, b, 2b, ...
-    decide it.  `checked` still counts every quadruple decided, and a
-    violation is reported at the first l of its block, the first l at
-    which it occurs, so the report is the one block = 1 gives.
+    Mode "auto" also reads b = cocycle.block: 1 or group.coset_block (a
+    ValueError if neither), whose blocks of b consecutive indices are the
+    left cosets lH of H = {0..b-1}.  Then k(lH) = (kl)H, so kl's block
+    depends on l only through l's block, and every term of D reads l or kl
+    through its block alone: D(s, h, k, .) is constant on blocks, and
+    l = 0, b, 2b, ... decide it.  `checked` still counts every quadruple
+    decided, and a violation is reported at the first l of its block, the
+    first l at which it occurs, so the report is the one block = 1 gives.
 
     With b > 1, f also reads its first argument only through its block
     residue (f(h, k, l) = f(h % b, k, l)), so the slices f(h, ., .) that the
@@ -188,7 +187,8 @@ def verify_cocycle(cocycle, mode="auto"):
     f = cocycle.exp_fn
     mul = grp.mul
     blk = cocycle.block if mode == "auto" else 1
-    grp.check_coset_blocks(blk)
+    if blk not in (1, grp.coset_block):
+        raise ValueError(f"block {blk} is neither 1 nor the group's coset block {grp.coset_block}")
     reps = range(0, n, blk)  # one l per block
     for g in range(n):
         at_1g = [f(0, g, r) % m for r in reps]

@@ -1,7 +1,7 @@
-"""Matched pairs, bicrossed products, and the built-in (group, cocycle) families.
+"""Extension data on matched pairs, and the built-in (group, cocycle) families.
 
-A matched pair (F, G) with actions g |> x in F and g <| x in G yields the
-bicrossed product group F |><| G on pairs (x, g) with multiplication
+A MatchedPair (F, G) with actions g |> x in F and g <| x in G yields the
+BicrossedGroup F |><| G on pairs (x, g) with multiplication
 (x, g)(y, h) = (x (g |> y), (g <| y) h).  Extension cocycle data (sigma, tau)
 on the pair induces a normalized 3-cocycle on the bicrossed product:
 
@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import getitem, itemgetter
 from typing import Callable
 
 from .cocycles import ThreeCocycle
 from .groups import (
     BicrossedGroup,
     FiniteGroup,
+    MatchedPair,
     SpecError,
     check_order,
     direct_product,
@@ -33,6 +32,10 @@ from .groups import (
     spec_int,
 )
 from .indicators import (
+    check_h2n2,
+    check_hn3,
+    check_suzuki_cyclic,
+    check_suzuki_noncyclic,
     nu_h2n2_closed,
     nu_hn3_closed,
     nu_suzuki_cyclic_closed,
@@ -40,76 +43,12 @@ from .indicators import (
 )
 
 
-@dataclass
-class MatchedPair:
-    """Groups F, G with their action tables, each |G| rows of |F| entries:
-    act_left[g][y] = g |> y in F and act_right[g][y] = g <| y in G.
-
-    Construction is the one check of the pair: shape, every value in range
-    (none wraps round as a list index), the identity row and column, and the
-    four laws that make F |><| G a group (Majid 1995, 6.2), each read only at
-    generators of G or F, which suffices by induction on word length.
-    """
-
-    F: FiniteGroup
-    G: FiniteGroup
-    act_right: list  # act_right[g][y] = g <| y in G
-    act_left: list  # act_left[g][y] = g |> y in F
-
-    def __post_init__(self):
-        nf, ng = self.F.order, self.G.order
-        left, right, fm, gm = self.act_left, self.act_right, self.F._table, self.G._table
-        for table, act, bound in ((left, "g |> y", nf), (right, "g <| y", ng)):
-            if len(table) != ng or set(map(len, table)) != {nf}:
-                raise ValueError(f"action {act} needs |G| = {ng} rows of |F| = {nf} entries")
-            for g, row in enumerate(table):
-                if min(row) < 0 or max(row) >= bound:
-                    y = next(y for y, v in enumerate(row) if not 0 <= v < bound)
-                    raise ValueError(
-                        f"action {act} at (g, y) = {(g, y)} is {row[y]!r}, out of range 0..{bound - 1}"
-                    )
-        if list(left[0]) != list(range(nf)):
-            raise ValueError("identity of G must act trivially on F")
-        if list(map(itemgetter(0), right)) != list(range(ng)):
-            raise ValueError("identity of F must act trivially on G")
-
-        def law(text, names, s, want, got):  # want as rows, got flat, both over (row, y)
-            if (want := list(chain.from_iterable(want))) != (got := list(got)):
-                r, y = divmod(next(i for i, w in enumerate(want) if w != got[i]), nf)
-                raise ValueError(f"not a matched pair: {text} fails at {names} = {(s, r, y)}")
-        fl, fr = list(chain.from_iterable(left)), list(chain.from_iterable(right))
-        for g in self.G.generators():  # at h = 1 they give 1 <| y = 1
-            lgh, rgh = (map(t.__getitem__, gm[g]) for t in (left, right))  # rows at gh, each h
-            law("(gh)|>y = g|>(h|>y)", "(g, h, y)", g, lgh, map(left[g].__getitem__, fl))
-            got = map(getitem, map(gm.__getitem__, map(right[g].__getitem__, fl)), fr)
-            law("(gh)<|y = (g<|(h|>y))(h<|y)", "(g, h, y)", g, rgh, got)
-        for x in self.F.generators():  # at y = 1 they give g |> 1 = 1
-            lx, rx = ([row[x] for row in t] for t in (left, right))
-            yx = itemgetter(*(row[x] for row in fm))  # a tuple: F has a generator, so |F| > 1
-            law("g<|(yx) = (g<|y)<|x", "(x, g, y)", x, map(yx, right), map(rx.__getitem__, fr))
-            got = map(getitem, map(fm.__getitem__, fl), map(lx.__getitem__, fr))
-            law("g|>(yx) = (g|>y)((g<|y)|>x)", "(x, g, y)", x, map(yx, left), got)
-
-
-def trivial_pair(f_group, g_group):
-    nf, ng = f_group.order, g_group.order
-    return MatchedPair(f_group, g_group, [[g] * nf for g in range(ng)], [range(nf)] * ng)
-
-
-def bicrossed_product(pair):
-    """The group F |><| G on pairs (x, g) encoded as x*|G| + g, built
-    unchecked from the action tables: constructing the pair checked them."""
-    label = f"({pair.F.label}|><|{pair.G.label})"
-    return BicrossedGroup(pair.F, pair.G, pair.act_left, pair.act_right, label)
-
-
 def power_iteration(pair, x, g, n):
     """(x_n, g_n) with (x, g)^n = (x_n, g_n) in the bicrossed product."""
     if n < 1:
         raise ValueError("n must be positive")
     ng = pair.G.order
-    powers = bicrossed_product(pair).powers(x * ng + g)
-    return divmod(powers[n % len(powers)], ng)
+    return divmod(BicrossedGroup(pair).power(x * ng + g, n), ng)
 
 
 @dataclass
@@ -141,22 +80,18 @@ def omega_from_extension(data):
 
     omega reads its third argument r only through its F-part r // |G|, and
     its first argument p only through its G-part p % |G|, so the cocycle
-    carries block = |G|.  Its blocks are the left cosets of the subgroup
-    G = {0..|G|-1}, since (x, g)(1, h) = (x, gh), and the exact check
-    (verify_cocycle) reads one r per block, |F| in place of |F|*|G|, and
-    builds one slice omega(p, ., .) per G-part.
+    carries the group's coset block |G|, and the exact check (verify_cocycle)
+    reads one r per block, |F| in place of |F|*|G|, and builds one slice
+    omega(p, ., .) per G-part.
 
     The cocycle is marked is_cocycle without a check: sigma and tau must
     satisfy the extension equations, or the order profile, and every
     indicator read from it, is wrong.  verify_cocycle decides it.
     """
     pair = data.pair
-    grp = bicrossed_product(pair)
-    ng = pair.G.order
-    act_l = pair.act_left
-    act_r = pair.act_right
-    sigma = data.sigma_exp
-    tau = data.tau_exp
+    grp = BicrossedGroup(pair)
+    ng, act_l, act_r = pair.G.order, pair.act_left, pair.act_right
+    sigma, tau = data.sigma_exp, data.tau_exp
 
     # one function per set of terms present: no call returns a constant 0
     def exp_fn(p, q, r):
@@ -178,7 +113,7 @@ def omega_from_extension(data):
         exp_fn = sigma_only
 
     omega = ThreeCocycle(
-        grp, data.value_order, exp_fn, label=f"omega[{data.label}]", block=ng, is_cocycle=True
+        grp, data.value_order, exp_fn, f"omega[{data.label}]", grp.coset_block, is_cocycle=True
     )
     return GTCategory(grp, omega, label=data.label)
 
@@ -196,8 +131,7 @@ def h2n2_pair(n):
 
 def family_h2n2(n, xi_exp):
     """Extension data for the dimension-2N^2 family with xi = zeta_N^xi_exp."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_h2n2(n)
     pair = h2n2_pair(n)
 
     def sigma_exp(g, a, b):
@@ -235,8 +169,7 @@ def family_hn3(n, xi_exp, zeta_exp, lambda_exp=None):
     admissible lambda_exp (congruent to -xi_exp mod N) may be supplied to
     exercise choice-independence.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and at least 3")
+    check_hn3(n)
     if lambda_exp is None:
         lambda_exp = (-xi_exp) % (n * n)
     if (lambda_exp + xi_exp) % n != 0:
@@ -310,14 +243,7 @@ def family_suzuki_cyclic(n, l, alpha, beta, eta_exp=None):
     (even, +1)): G = Z_2N = <b> and chi(b^i) = (-alpha zeta_2N)^i, with the
     principal zeta_2N.  eta_exp as in _suzuki_data; any admissible choice
     gives the same indicators."""
-    if alpha not in (1, -1) or beta not in (1, -1):
-        raise ValueError("alpha and beta must be +1 or -1")
-    if l < 2:
-        raise ValueError("l must be at least 2")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n % 2 == 0 and alpha == 1:
-        raise ValueError("the cyclic case requires (N, alpha) != (even, +1)")
+    check_suzuki_cyclic(n, l, alpha, beta)
     check_order(4 * n * l)
     neg_alpha_zeta = 1 + (n if alpha == 1 else 0)  # -alpha zeta_2N = zeta_2N^(1 or 1 + N)
     chi = [i * neg_alpha_zeta for i in range(2 * n)]
@@ -327,12 +253,7 @@ def family_suzuki_cyclic(n, l, alpha, beta, eta_exp=None):
 def family_suzuki_noncyclic(n, l, beta):
     """Extension data for the Suzuki family in the non-cyclic case (N even,
     alpha = +1): G = Z_N x Z_2 = <a> x <b> and chi(a^i b^j) = (-1)^j zeta_N^i."""
-    if beta not in (1, -1):
-        raise ValueError("beta must be +1 or -1")
-    if n % 2 or n < 2:
-        raise ValueError("the non-cyclic case requires even N")
-    if l < 2:
-        raise ValueError("l must be at least 2")
+    check_suzuki_noncyclic(n, l, beta)
     check_order(4 * n * l)
     chi = [2 * i + j * n for i in range(n) for j in range(2)]
     g_group = direct_product(make_cyclic(n), make_cyclic(2))

@@ -10,8 +10,9 @@ factors).  Only table files and callers' tables get the exact axiom check.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 # The largest order tabulated: n^2 entries cost about 8 bytes each, so a
 # group of this order takes about 134 MB.  Every built-in grid, script and
@@ -34,6 +35,8 @@ class FiniteGroup:
     """A finite group on element indices 0..order-1 with identity 0."""
 
     __slots__ = ("order", "label", "_source", "_rows", "_orders", "_gens")
+
+    coset_block = 1  # claims no coset structure (see BicrossedGroup.coset_block)
 
     def __init__(self, order, mul, label="G", check=True):
         """`mul` is the product as a callable mul(g, h), or the rows of the
@@ -95,24 +98,6 @@ class FiniteGroup:
                     gens = rest
             self._gens = tuple(gens)
         return self._gens
-
-    def check_coset_blocks(self, b):
-        """Raise ValueError unless the blocks of b consecutive indices, j*b ..
-        j*b + b - 1, are the left cosets of H = {0..b-1}: b divides the order,
-        H is closed (so a subgroup), and (j*b)H stays in block j (so, having b
-        elements, it is block j).  Min and max over row slices, at C speed."""
-        n = self.order
-        if b < 1 or n % b:
-            raise ValueError(f"block {b} does not divide the group order {n}")
-        table = self._table
-        for r in chain(range(1, b), range(b, n, b)):
-            part = table[r][:b]
-            low = r - r % b
-            if min(part) < low or max(part) >= low + b:
-                raise ValueError(
-                    f"blocks of {b} are not the left cosets of {{0..{b - 1}}}: "
-                    f"{r}*H leaves block {r // b}"
-                )
 
     def _check_axioms(self):
         """The one check of a table: its shape, the range of its entries, a 0
@@ -285,25 +270,92 @@ def bicrossed_rows(f_group, g_group, left, right):
     yield from rows
 
 
+@dataclass
+class MatchedPair:
+    """Groups F, G with their action tables, each |G| rows of |F| entries:
+    act_left[g][y] = g |> y in F and act_right[g][y] = g <| y in G.
+
+    Construction is the one check of the pair: the order cap (before any
+    factor is tabulated), shape, every value in range (none wraps round as a
+    list index), the identity row and column, and the four laws that make
+    F |><| G a group (Majid 1995, 6.2), each read only at generators of G or
+    F, which suffices by induction on word length.
+    """
+
+    F: FiniteGroup
+    G: FiniteGroup
+    act_right: list  # act_right[g][y] = g <| y in G
+    act_left: list  # act_left[g][y] = g |> y in F
+
+    def __post_init__(self):
+        nf, ng = self.F.order, self.G.order
+        check_order(nf * ng)
+        left, right, fm, gm = self.act_left, self.act_right, self.F._table, self.G._table
+        for table, act, bound in ((left, "g |> y", nf), (right, "g <| y", ng)):
+            if len(table) != ng or set(map(len, table)) != {nf}:
+                raise ValueError(f"action {act} needs |G| = {ng} rows of |F| = {nf} entries")
+            for g, row in enumerate(table):
+                if min(row) < 0 or max(row) >= bound:
+                    y = next(y for y, v in enumerate(row) if not 0 <= v < bound)
+                    raise ValueError(
+                        f"action {act} at (g, y) = {(g, y)} is {row[y]!r}, out of range 0..{bound - 1}"
+                    )
+        if list(left[0]) != list(range(nf)):
+            raise ValueError("identity of G must act trivially on F")
+        if list(map(itemgetter(0), right)) != list(range(ng)):
+            raise ValueError("identity of F must act trivially on G")
+
+        def law(text, names, s, want, got):  # want as rows, got flat, both over (row, y)
+            if (want := list(chain.from_iterable(want))) != (got := list(got)):
+                r, y = divmod(next(i for i, w in enumerate(want) if w != got[i]), nf)
+                raise ValueError(f"not a matched pair: {text} fails at {names} = {(s, r, y)}")
+        fl, fr = list(chain.from_iterable(left)), list(chain.from_iterable(right))
+        for g in self.G.generators():  # at h = 1 they give 1 <| y = 1
+            lgh, rgh = (map(t.__getitem__, gm[g]) for t in (left, right))  # rows at gh, each h
+            law("(gh)|>y = g|>(h|>y)", "(g, h, y)", g, lgh, map(left[g].__getitem__, fl))
+            got = map(getitem, map(gm.__getitem__, map(right[g].__getitem__, fl)), fr)
+            law("(gh)<|y = (g<|(h|>y))(h<|y)", "(g, h, y)", g, rgh, got)
+        for x in self.F.generators():  # at y = 1 they give g |> 1 = 1
+            lx, rx = ([row[x] for row in t] for t in (left, right))
+            yx = itemgetter(*(row[x] for row in fm))  # a tuple: F has a generator, so |F| > 1
+            law("g<|(yx) = (g<|y)<|x", "(x, g, y)", x, map(yx, right), map(rx.__getitem__, fr))
+            got = map(getitem, map(fm.__getitem__, fl), map(lx.__getitem__, fr))
+            law("g|>(yx) = (g|>y)((g<|y)|>x)", "(x, g, y)", x, map(yx, left), got)
+
+
+def trivial_pair(f_group, g_group):
+    nf, ng = f_group.order, g_group.order
+    return MatchedPair(f_group, g_group, [[g] * nf for g in range(ng)], [range(nf)] * ng)
+
+
 class BicrossedGroup(FiniteGroup):
-    """F |><| G on pairs (x, g) encoded as x*|G| + g, from the factors and
-    the action tables (as in bicrossed_rows), tabulated on first need."""
+    """F |><| G of a matched pair, on pairs (x, g) encoded as x*|G| + g (as
+    in bicrossed_rows), built unchecked, since constructing the pair checked
+    it, and tabulated on first need."""
 
-    __slots__ = ("_pair",)
+    __slots__ = ("pair",)
 
-    def __init__(self, f_group, g_group, left, right, label):
-        self._pair = pair = (f_group, g_group, left, right)
-        super().__init__(f_group.order * g_group.order, bicrossed_rows(*pair), label, check=False)
+    def __init__(self, pair, label=None):
+        self.pair = pair
+        f_group, g_group = pair.F, pair.G
+        rows = bicrossed_rows(f_group, g_group, pair.act_left, pair.act_right)
+        label = label or f"({f_group.label}|><|{g_group.label})"
+        super().__init__(f_group.order * g_group.order, rows, label, check=False)
+
+    @property
+    def coset_block(self):
+        """|G|: blocks of |G| indices are the left cosets of G, as (x, g)(1, h) = (x, gh)."""
+        return self.pair.G.order
 
     def powers(self, p):
         """The powers of p = (x, g) through the factor and action tables, no
         product table.  (x, g)^(k+1) has F-part x (g |> x_k), that of
         (x, g)(x_k, g_k), and G-part (g_k <| x) g, that of (x_k, g_k)(x, g),
         so each part steps from its own last value."""
-        f_group, g_group, left, right = self._pair
-        ng = g_group.order
+        pair = self.pair
+        ng = pair.G.order
         x, g = divmod(p, ng)
-        fx, lg, gm = f_group._table[x], left[g], g_group._table
+        fx, lg, gm, right = pair.F._table[x], pair.act_left[g], pair.G._table, pair.act_right
         out, xk, gk = [0], x, g
         while xk or gk:
             out.append(xk * ng + gk)
@@ -323,8 +375,6 @@ class CyclicGroup(FiniteGroup):
 
 def make_cyclic(n):
     """The cyclic group Z_n (addition mod n)."""
-    if n < 1:
-        raise ValueError("cyclic group order must be positive")
 
     def rows():  # one shared row, rotated
         base = list(range(n))
@@ -343,14 +393,12 @@ def make_dihedral(two_l):
     half = two_l // 2
     left = [list(range(half)), [-y % half for y in range(half)]]
     right = [[0] * half, [1] * half]
-    return BicrossedGroup(make_cyclic(half), make_cyclic(2), left, right, f"D{two_l}")
+    return BicrossedGroup(MatchedPair(make_cyclic(half), make_cyclic(2), right, left), f"D{two_l}")
 
 
 def direct_product(a, b):
     """A x B with pair (x, y) encoded as x*|B| + y: both actions trivial."""
-    na, nb = a.order, b.order
-    left, right = [range(na)] * nb, [[y] * na for y in range(nb)]
-    return BicrossedGroup(a, b, left, right, f"({a.label}x{b.label})")
+    return BicrossedGroup(trivial_pair(a, b), f"({a.label}x{b.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +460,6 @@ def parse_group_spec(spec):
         grp = group_from_table_file(rest)
     else:
         raise SpecError(f"unknown group spec: {spec!r}")
-    for left in reversed(factors):
-        grp._table  # tabulated here: a chain left to first need would recurse once a factor
+    for left in reversed(factors):  # each pair check tabulates grp, so no table recurses
         grp = direct_product(left, grp)
     return grp

@@ -32,7 +32,9 @@ from .cocycles import c_omega, omega_tilde_root
 
 
 def b_p(p, n):
-    """The p-adic valuation of n."""
+    """The p-adic valuation of n (n != 0)."""
+    if n == 0:
+        raise ValueError("the p-adic valuation of 0 is infinite")
     v = 0
     while n % p == 0:
         n //= p
@@ -60,8 +62,6 @@ def nu_brute(cat, n):
 
 def nu_literal(cat, n):
     """The exact n-th indicator of a GTCategory by direct summation."""
-    if n < 1:
-        raise ValueError("n must be positive")
     omega = cat.omega
     m = omega.value_order
     counts: dict[int, int] = {}
@@ -78,13 +78,43 @@ def nu_group_algebra(grp, n):
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# closed forms, each after the one check of its family's parameters, which
+# the family's builder (in the extensions module) calls too
+
+
+def check_h2n2(n_param):
+    if n_param < 2:
+        raise ValueError("n must be at least 2")
+
+
+def check_hn3(n_param):
+    if n_param < 3 or n_param % 2 == 0:
+        raise ValueError("n must be odd and at least 3")
+
+
+def check_suzuki_cyclic(n_param, l, alpha, beta):
+    if alpha not in (1, -1) or beta not in (1, -1):
+        raise ValueError("alpha and beta must be +1 or -1")
+    if l < 2:
+        raise ValueError("l must be at least 2")
+    if n_param < 1:
+        raise ValueError("n must be at least 1")
+    if n_param % 2 == 0 and alpha == 1:
+        raise ValueError("the cyclic case requires (N, alpha) != (even, +1)")
+
+
+def check_suzuki_noncyclic(n_param, l, beta):
+    if beta not in (1, -1):
+        raise ValueError("beta must be +1 or -1")
+    if n_param % 2 or n_param < 2:
+        raise ValueError("the non-cyclic case requires even N")
+    if l < 2:
+        raise ValueError("l must be at least 2")
 
 
 def nu_h2n2_closed(n_param, xi_exp, n):
     """Closed form for the dimension-2N^2 family (always a rational integer)."""
-    if n_param < 2:
-        raise ValueError("N must be at least 2")
+    check_h2n2(n_param)
     if n < 1:
         raise ValueError("n must be positive")
     big_n = n_param
@@ -102,8 +132,7 @@ def nu_hn3_closed(n_param, xi_exp, zeta_exp, n):
 
     Lies in Z[zeta_3] in the exceptional branch, otherwise a rational integer.
     """
-    if n_param % 2 == 0 or n_param < 3:
-        raise ValueError("N must be odd and at least 3")
+    check_hn3(n_param)
     if n < 1:
         raise ValueError("n must be positive")
     big_n = n_param
@@ -130,39 +159,31 @@ def nu_hn3_closed(n_param, xi_exp, zeta_exp, n):
     return scale * 3 * (5 - 2 * beta)
 
 
-def _epsilon_suzuki_cyclic(n_param, l, alpha, beta, n):
-    sign = 1
-    if b_p(2, n) == 1:
-        sign *= -alpha
-    if b_p(2, n) == b_p(2, n_param) + 1:
-        sign *= -1
-    if b_p(2, n) == b_p(2, l) + 1:
-        sign *= beta
-    return sign
-
-
 def nu_suzuki_cyclic_closed(n_param, l, alpha, beta, n):
     """Closed form for the Suzuki family, cyclic case; a rational integer."""
-    if n_param % 2 == 0 and alpha == 1:
-        raise ValueError("the cyclic case requires (N, alpha) != (even, +1)")
-    if l < 2 or n < 1:
-        raise ValueError("need L >= 2 and n >= 1")
+    check_suzuki_cyclic(n_param, l, alpha, beta)
+    if n < 1:
+        raise ValueError("n must be positive")
     dn = math.gcd(n_param, n)
     dl = math.gcd(l, n)
     total = dn * dl
     if b_p(2, n) - 1 >= b_p(2, n_param):
         total += 2 * l * dn
         if b_p(2, n) - 1 >= b_p(2, l):
-            total += _epsilon_suzuki_cyclic(n_param, l, alpha, beta, n) * dn * dl
+            eps = -alpha if b_p(2, n) == 1 else 1
+            if b_p(2, n) == b_p(2, n_param) + 1:
+                eps *= -1
+            if b_p(2, n) == b_p(2, l) + 1:
+                eps *= beta
+            total += eps * dn * dl
     return CyclotomicInteger.from_int(total)
 
 
 def nu_suzuki_noncyclic_closed(n_param, l, beta, n):
     """Closed form for the Suzuki family, non-cyclic case (N even)."""
-    if n_param % 2 or n_param < 2:
-        raise ValueError("the non-cyclic case requires even N")
-    if l < 2 or n < 1:
-        raise ValueError("need L >= 2 and n >= 1")
+    check_suzuki_noncyclic(n_param, l, beta)
+    if n < 1:
+        raise ValueError("n must be positive")
     dn = math.gcd(n_param, n)
     dl = math.gcd(l, n)
     total = dn * dl

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from fsind import cli, cocycles
 from fsind.cocycles import verify_cocycle
 from fsind.cyclotomic import divisors, gauss_sum_closed
-from fsind.extensions import FAMILIES, bicrossed_product, h2n2_pair
+from fsind.extensions import FAMILIES, h2n2_pair
+from fsind.groups import BicrossedGroup
 from fsind.indicators import nu_brute
 from fsind.cli import (
     EXIT_COCYCLE,
@@ -221,7 +222,7 @@ class TestGroupCommand:
         # the order-338 bicrossed product of h2n2_pair(13) with entry
         # (155, 216) moved by 260: the former 100k-triple sampled
         # associativity check accepted it and printed nu_2 = 14
-        grp = bicrossed_product(h2n2_pair(13))
+        grp = BicrossedGroup(h2n2_pair(13))
         n = grp.order
         rows = [[grp.mul(g, h) for h in range(n)] for g in range(n)]
         rows[155][216] = (rows[155][216] + 260) % n

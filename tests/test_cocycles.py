@@ -35,6 +35,7 @@ from fsind.groups import (
     make_cyclic,
     make_dihedral,
     parse_group_spec,
+    trivial_pair,
 )
 from fsind.extensions import (
     FAMILIES,
@@ -43,7 +44,6 @@ from fsind.extensions import (
     omega_from_extension,
     parse_family_spec,
     split_family_spec,
-    trivial_pair,
 )
 
 
@@ -322,20 +322,29 @@ class TestCosetBlocks:
         assert verify_cocycle(w) == verify_cocycle(dataclasses.replace(w, block=1))
 
     def test_blocks_that_are_not_cosets_are_rejected(self):
-        w = parse_family_spec("h2n2:3:1").omega  # order 18, block 9
-        with pytest.raises(ValueError, match="block 4 does not divide the group order 18"):
+        # a block must be 1 or the group's coset block, whose blocks are the
+        # left cosets of {0..b-1} by construction
+        w = parse_family_spec("h2n2:3:1").omega  # order 18, coset block 9
+        with pytest.raises(ValueError, match="block 4 is neither 1 nor the group's coset block 9"):
             verify_cocycle(dataclasses.replace(w, block=4))
         # on Z_6, {0, 1} is not a subgroup
-        with pytest.raises(ValueError, match="not the left cosets"):
+        with pytest.raises(ValueError, match="block 2 is neither 1 nor the group's coset block 1"):
             verify_cocycle(dataclasses.replace(psi(6, 1), block=2))
         # Z_6 relabelled so that {0, 1} is the subgroup {0, 3}, whose coset
         # 1 + {0, 3} = {1, 4} is labelled {2, 4}, not block {2, 3}
         label = [0, 2, 3, 1, 4, 5]
         z6 = FiniteGroup(6, lambda a, b: label[(label.index(a) + label.index(b)) % 6])
-        with pytest.raises(ValueError, match="2[*]H leaves block 1"):
+        with pytest.raises(ValueError, match="block 2 is neither 1 nor the group's coset block 1"):
             verify_cocycle(ThreeCocycle(z6, 1, lambda g, h, k: 0, block=2))
         # mode "full" ignores the block
         assert verify_cocycle(dataclasses.replace(psi(6, 1), block=2), mode="full").ok
+
+    def test_grid_cocycles_carry_the_coset_block(self):
+        for fam in FAMILIES.values():
+            for params in fam.grid:
+                cat = fam.build(*params)
+                assert cat.omega.block == cat.group.coset_block, (fam.kind, params)
+                assert cat.group.coset_block == fam.data(*params).pair.G.order, (fam.kind, params)
 
     def test_one_block(self):
         # F = 1: the whole group is one block, so each slice row has one entry

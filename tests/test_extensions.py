@@ -13,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsind.groups import (
+    BicrossedGroup,
     FiniteGroup,
+    MatchedPair,
     bicrossed_rows,
     direct_product,
     group_from_table_file,
     make_cyclic,
     make_dihedral,
     parse_group_spec,
+    trivial_pair,
 )
 from fsind.cocycles import c_omega, omega_tilde_root, psi, verify_cocycle
 from fsind.cyclotomic import divisors
@@ -27,8 +30,6 @@ from fsind.extensions import (
     FAMILIES,
     ExtensionData,
     GTCategory,
-    MatchedPair,
-    bicrossed_product,
     family_bismash,
     family_h2n2,
     family_hn3,
@@ -40,7 +41,6 @@ from fsind.extensions import (
     pair_from_file,
     parse_family_spec,
     power_iteration,
-    trivial_pair,
 )
 from fsind.indicators import frobenius_check, nu_brute, nu_literal
 
@@ -53,7 +53,7 @@ FIXED = [[0, 0, 0], [1, 1, 1]]  # the trivial right action of Z_2 on Z_3
 class TestMatchedPairs:
     def test_trivial_pair_gives_direct_product(self):
         pair = trivial_pair(make_cyclic(3), make_cyclic(4))
-        grp = bicrossed_product(pair)
+        grp = BicrossedGroup(pair)
         assert grp.order == 12 and grp.exponent() == 12
 
     def test_identity_axioms_enforced(self):
@@ -106,7 +106,7 @@ class TestMatchedPairs:
         groups += [z4xz6.subgroup(z4xz6.torsion(n))[0] for n in (2, 3, 6)]
         groups += [make_cyclic(12).subgroup(make_cyclic(12).torsion(4))[0]]
         for pair in (h2n2_pair(3), hn3_pair(3), family_suzuki_noncyclic(2, 2, 1).pair):
-            groups.append(bicrossed_product(pair))
+            groups.append(BicrossedGroup(pair))
         groups += [fam.build(*params).group for fam in FAMILIES.values() for params in fam.grid]
         groups.append(parse_family_spec(f"bismash:{GOLDEN / 'z2_on_z3.pair'}").group)
         for grp in groups:
@@ -119,7 +119,7 @@ class TestMatchedPairs:
     def test_power_iteration_matches_repeated_products(self):
         # against the product table: power() reads the same walk
         for pair in (h2n2_pair(4), hn3_pair(3), family_suzuki_noncyclic(2, 3, 1).pair):
-            grp = bicrossed_product(pair)
+            grp = BicrossedGroup(pair)
             ng = pair.G.order
             for p in range(grp.order):
                 x, g = divmod(p, ng)
@@ -130,7 +130,7 @@ class TestMatchedPairs:
                     assert xn * ng + gn == acc, (pair, p, n)
 
 
-# the per-entry multiplication closure bicrossed_product used before it was
+# the per-entry multiplication closure BicrossedGroup used before it was
 # built from its factors' rows, kept as the oracle
 
 
@@ -226,12 +226,12 @@ CLOSURE_PAIRS = (
 class TestBuilders:
     @pytest.mark.parametrize("pair", CLOSURE_PAIRS)
     def test_bicrossed_product_matches_the_closure(self, pair):
-        assert_matches_closure(bicrossed_product(pair), bicrossed_mul(pair))
+        assert_matches_closure(BicrossedGroup(pair), bicrossed_mul(pair))
 
     @settings(max_examples=60, deadline=None)
     @given(semidirect_pairs())
     def test_random_pairs_match_the_closure(self, pair):
-        assert_matches_closure(bicrossed_product(pair), bicrossed_mul(pair))
+        assert_matches_closure(BicrossedGroup(pair), bicrossed_mul(pair))
 
     def test_both_actions_of_s4_are_nontrivial(self):
         pair = symmetric_factorization(4)
@@ -488,8 +488,8 @@ class TestBismashAndFiles:
         path.write_text("\n".join(lines) + "\n")
         loaded = pair_from_file(path)
         assert loaded.act_right == pair.act_right
-        grp_a = bicrossed_product(pair)
-        grp_b = bicrossed_product(loaded)
+        grp_a = BicrossedGroup(pair)
+        grp_b = BicrossedGroup(loaded)
         assert all(
             grp_a.mul(p, q) == grp_b.mul(p, q)
             for p in range(grp_a.order)
@@ -620,7 +620,7 @@ class TestNoProductTable:
                 pair = fam.data(*params).pair
                 grp = cat.group
                 closure = FiniteGroup(grp.order, bicrossed_mul(pair), check=False)
-                report = verify_cocycle(dataclasses.replace(cat.omega, group=closure))
+                report = verify_cocycle(dataclasses.replace(cat.omega, group=closure, block=1))
                 assert report.ok and verify_cocycle(cat.omega) == report, cat.label
                 assert grp.conjugacy_classes() == closure.conjugacy_classes(), cat.label
                 assert grp._source is None

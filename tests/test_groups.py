@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -13,15 +14,18 @@ from hypothesis import strategies as st
 from fsind import extensions, groups
 from fsind.groups import (
     MAX_ORDER,
+    BicrossedGroup,
     FiniteGroup,
+    MatchedPair,
     SpecError,
     direct_product,
     group_from_table_file,
     make_cyclic,
     make_dihedral,
     parse_group_spec,
+    trivial_pair,
 )
-from fsind.extensions import parse_family_spec
+from fsind.extensions import FAMILIES, parse_family_spec
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -256,6 +260,12 @@ class TestConstructors:
             with pytest.raises(SpecError, match=f"group order {order} exceeds the limit"):
                 parse_family_spec(spec)
 
+    def test_pair_over_the_cap_is_refused_before_its_factors_are_tabulated(self):
+        f_group, g_group = make_cyclic(4096), make_cyclic(2)
+        with pytest.raises(SpecError, match="group order 8192 exceeds the limit"):
+            MatchedPair(f_group, g_group, [[0] * 4096, [1] * 4096], [range(4096)] * 2)
+        assert f_group._source is not None and g_group._source is not None
+
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(GROUP_TABLES).flatmap(_altered))
     def test_axiom_check_matches_cubic_oracle(self, rows):
@@ -282,6 +292,21 @@ class TestBuilders:
         # at |G| = 1 an itemgetter of one index would return the bare entry,
         # not a tuple: every row must be a row (x, 1)
         assert group_table(parse_group_spec(spec)) == group_table(make_cyclic(5))
+
+
+    def test_every_built_in_product_is_bicrossed_from_a_checked_pair(self):
+        built = [make_dihedral(n) for n in (4, 6, 12)]
+        built += [direct_product(make_cyclic(2), make_dihedral(6))]
+        built += [parse_group_spec("product:cyclic:2,product:dihedral:6,cyclic:4")]
+        built += [fam.build(*params).group for fam in FAMILIES.values() for params in fam.grid]
+        for grp in built:
+            assert isinstance(grp, BicrossedGroup) and isinstance(grp.pair, MatchedPair), grp
+            assert grp.coset_block == grp.pair.G.order
+        assert [g.label for g in built[:5]] == [
+            "D4", "D6", "D12", "(Z2xD6)", "(Z2x(D6xZ4))"
+        ]
+        assert make_cyclic(6).coset_block == FiniteGroup(1, [[0]]).coset_block == 1
+        assert BicrossedGroup(trivial_pair(make_cyclic(2), make_cyclic(3))).label == "(Z2|><|Z3)"
 
 
 def power_test_group(kind, n):
@@ -438,3 +463,13 @@ class TestSpecParsing:
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             parse_group_spec("simple:60")
+
+
+def test_only_the_groups_module_reads_a_groups_rows():
+    # the row format is private to fsind.groups: every other module reads
+    # products through mul, powers and the pair
+    src = Path(groups.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "groups.py":
+            for i, line in enumerate(path.read_text().splitlines(), 1):
+                assert not re.search(r"\._(table|rows|source)\b", line), f"{path.name}:{i}: {line}"

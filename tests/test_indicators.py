@@ -3,10 +3,12 @@ and the Frobenius divisibility analyzer."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +321,42 @@ class TestDerivedValues:
         assert b_p(2, 48) == 4
         assert b_p(3, 48) == 1
         assert b_p(5, 48) == 0
+
+    def test_b_p_refuses_zero(self):
+        with at_once(), pytest.raises(ValueError, match="valuation of 0"):
+            b_p(2, 0)
+
+    @pytest.mark.parametrize("spec", [
+        "h2n2:1:0", "h2n2:0:1", "h2n2:-2:1",
+        "hn3:1:0:0", "hn3:4:1:1", "hn3:-3:1:1",
+        "suzuki:0:2:-1:1",  # b_p(2, 0) never ended
+        "suzuki:3:2:-1:7", "suzuki:-3:2:-1:1", "suzuki:3:2:0:1",
+        "suzuki:2:2:1:1", "suzuki:1:1:1:1",
+        "suzukiP:2:2:5", "suzukiP:3:2:1", "suzukiP:0:2:1", "suzukiP:-2:2:1", "suzukiP:2:1:1",
+    ])
+    def test_invalid_parameters_are_refused_by_builder_and_closed_form(self, spec):
+        kind, *fields = spec.split(":")
+        fam, params = FAMILIES[kind], list(map(int, fields))
+        with at_once():
+            with pytest.raises(ValueError):
+                fam.data(*params)
+            with pytest.raises(ValueError):
+                fam.closed(*params, 4)
+
+
+@contextlib.contextmanager
+def at_once(seconds=5):
+    """Fail, rather than hang, if the body runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestFrobeniusAnalyzer:

@@ -9,14 +9,19 @@ work to a single accumulation step.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product, repeat
 from operator import itemgetter
 from typing import Callable
 
 from .cyclotomic import CyclotomicInteger, RootOfUnity
 from .groups import FiniteGroup, SpecError, direct_product, make_cyclic, spec_int
+
+
+_ARRAY_CODES = {array(c).itemsize: c for c in "QLIHB"}  # bytes per item: array code
 
 
 class CocycleError(ValueError):
@@ -163,21 +168,29 @@ def verify_cocycle(cocycle, mode="auto"):
     left cosets lH of H = {0..b-1}.  Then k(lH) = (kl)H, so kl's block
     depends on l only through l's block, and every term of D reads l or kl
     through its block alone: D(s, h, k, .) is constant on blocks, and
-    l = 0, b, 2b, ... decide it.  `checked` still counts every quadruple
-    decided, and a violation is reported at the first l of its block, the
-    first l at which it occurs, so the report is the one block = 1 gives.
+    l = 0, b, 2b, ... decide it.  The check reads slices f(h, ., .) mod m,
+    every k and one l per block.  With b > 1, f also reads its first
+    argument only through h % b, so the b distinct slices are built first
+    and kept, and normalization reads them too: |G|^2 calls to f in all.
+    With b = 1 nothing is claimed: each slice is built afresh and dropped,
+    and normalization calls f.
 
-    With b > 1, f also reads its first argument only through its block
-    residue (f(h, k, l) = f(h % b, k, l)), so the slices f(h, ., .) that the
-    check reads are the same for every h with the same h % b.  Each is built
-    once and kept: at most b slices of |G|^2 / b values, in place of one
-    slice per h and generator.  The values read, and so the report, are
-    the same.  With b = 1 nothing is claimed, and each slice is built afresh
-    and dropped.
+    Each (s, h) of the walk is decided at once.  Its values of D, one per
+    (k, block of l) in that order, are the lanes of one int, width bits each:
+    the least of 8, 16, 32 and 64 (packed by array) with 5m < 2^(width - 1),
+    else wider (packed by int.to_bytes).  With the five terms t1..t5 of D
+    reduced mod m, every lane of t1 - t2 + t3 - t4 + t5 + 2m lies in
+    [2, 5m), so none borrows from the next, and conditional subtractions of
+    4m, 2m and m leave each lane in [0, m): the int is 0 exactly when
+    D(s, h, ., .) is, and otherwise its first lane that is not 0 is the first
+    (k, l) that fails.  `checked` counts every quadruple decided, and a
+    violation is reported at the first l of its block, the first l at which
+    it occurs, so the report is the one b = 1 gives.
 
     Mode "full" ignores the block and checks all |G|^4 quadruples, the
-    definition, kept as the reference.  In every mode a normalization
-    failure at (g, h) reports the g * |G| + h + 1 pairs decided.
+    definition, kept as the reference: it tabulates f mod m once and decides
+    each quadruple from the table.  In every mode a normalization failure at
+    (g, h) reports the g * |G| + h + 1 pairs decided.
     """
     if mode not in ("auto", "full"):
         raise ValueError(f"unknown verification mode: {mode!r}")
@@ -190,41 +203,62 @@ def verify_cocycle(cocycle, mode="auto"):
     if blk not in (1, grp.coset_block):
         raise ValueError(f"block {blk} is neither 1 nor the group's coset block {grp.coset_block}")
     reps = range(0, n, blk)  # one l per block
+
+    def rows_of(h):  # f(h, k, l) mod m for every k and one l per block
+        return [[f(h, k, r) % m for r in reps] for k in range(n)]
+
+    # f(g, ., .) is slice g % len(kept): all of f in mode "full", the b
+    # distinct slices with b > 1, none with b = 1
+    kept = list(map(rows_of, range(n if mode == "full" else blk if blk > 1 else 0)))
     for g in range(n):
-        at_1g = [f(0, g, r) % m for r in reps]
-        at_g1 = [f(g, 0, r) % m for r in reps]
-        for h in range(n):
-            if at_1g[h // blk] or at_g1[h // blk] or f(g, h, 0) % m:
-                return VerificationReport(False, g * n + h + 1, ("normalization", (g, h)))
+        if kept:
+            w = kept[g % len(kept)]
+            at_1g, at_g1, at_gh1 = kept[0][g], w[0], [row[0] for row in w]
+        else:
+            at_1g, at_g1 = [f(0, g, r) % m for r in reps], [f(g, 0, r) % m for r in reps]
+            at_gh1 = [f(g, h, 0) % m for h in range(n)]
+        if any(at_1g) or any(at_g1) or any(at_gh1):
+            h = next(h for h in range(n) if at_1g[h // blk] or at_g1[h // blk] or at_gh1[h])
+            return VerificationReport(False, g * n + h + 1, ("normalization", (g, h)))
 
     checked = 0
     if mode == "full":
         for g, h, k in product(range(n), repeat=3):
-            gh, hk, e = mul(g, h), mul(h, k), f(g, h, k)
+            a, b, c, d = kept[h][k], kept[mul(g, h)][k], kept[g][mul(h, k)], kept[g][h]
             for l in range(n):
-                if (f(h, k, l) - f(gh, k, l) + f(g, hk, l) - f(g, h, mul(k, l)) + e) % m:
+                if (a[l] - b[l] + c[l] - d[mul(k, l)] + d[k]) % m:
                     where = ("cocycle identity", (g, h, k, l))
                     return VerificationReport(False, checked + l + 1, where)
             checked += n
         return VerificationReport(True, checked)
 
-    # at_kl[k](row) = row[block of k*l], one entry per block of l; with one
-    # block each row has one entry, which `list` keeps (itemgetter of a single
-    # index would return it bare)
-    at_kl = [itemgetter(*[mul(k, r) // blk for r in reps]) if n > blk else list for k in range(n)]
+    wide = 8 * ((5 * m).bit_length() // 8 + 1)
+    width = next(w for w in (8, 16, 32, 64, wide) if 5 * m < 1 << (w - 1))
+    w8 = width // 8  # bytes per lane
+    code = _ARRAY_CODES.get(w8)
 
-    slices = {}  # blk > 1 claims f(h, k, l) = f(h % blk, k, l): one slice per residue
+    def pack(values):  # one lane of width bits per value, in order
+        if code:
+            return array(code, values).tobytes()
+        return b"".join(v.to_bytes(w8, sys.byteorder) for v in values)
 
-    def slice_of(h):  # f(h, k, l) for every k and one l per block
-        w = slices.get(h % blk)
-        if w is None:
-            w = [[f(h, k, r) for r in reps] for k in range(n)]
-            if blk > 1:
-                slices[h % blk] = w
-        return w
+    def lanes(buf):
+        return int.from_bytes(buf, sys.byteorder)
+
+    def as_int(rows):  # a slice as one int, lane (k, j) = rows[k][j]
+        return lanes(pack(chain.from_iterable(rows)))
+
+    ones = lanes(pack([1] * (n * len(reps))))  # one lane per (k, block of l)
+    high, two_m = ones << (width - 1), 2 * m * ones
+    steps = [(t * m * ones, t * m) for t in (4, 2, 1)]
+    # lane (k, j) of f(s, h, kl) is cell (kl) // blk of row h of the s-slice
+    # (an order-1 group has no generators, so no one-index itemgetter is called)
+    at_kl = itemgetter(*[mul(k, r) // blk for k in range(n) for r in reps])
+    ints = list(map(as_int, kept))
+    slice_of = (lambda h: ints[h % blk]) if kept else (lambda h: as_int(rows_of(h)))
 
     for s in grp.generators():
-        w, seen = slice_of(s), [False] * n
+        ws_bytes, seen = list(map(pack, kept[s % blk] if kept else rows_of(s))), [False] * n
         for h in range(n):
             if seen[h]:
                 continue
@@ -233,16 +267,21 @@ def verify_cocycle(cocycle, mode="auto"):
                 seen[h] = True
                 sh = mul(s, h)
                 there = first if seen[sh] else slice_of(sh)
-                for k in range(n):  # w[x][j] = f(s, x, j*blk)
-                    e = w[h][k // blk]
-                    # f(h,k,l), f(sh,k,l), f(s,hk,l), f(s,h,kl) for l = j*blk
-                    terms = zip(here[k], there[k], w[mul(h, k)], at_kl[k](w[h]))
-                    for j, (a, b, c, d) in enumerate(terms):
-                        if (a - b + c - d + e) % m:
-                            l = j * blk
-                            where = ("cocycle identity", (s, h, k, l))
-                            return VerificationReport(False, checked + l + 1, where)
-                    checked += n
+                hk = list(map(mul, repeat(h, n), range(n)))
+                row = ws_bytes[h]
+                cells = [row[i:i + w8] for i in range(0, len(row), w8)]
+                # t1 + t3 + t5 + 2m - t2 - t4: f(h,k,l), f(s,hk,l), f(s,h,k) (each
+                # cell fills the n lanes of its block of k), f(sh,k,l), f(s,h,kl)
+                z = here + lanes(b"".join(map(ws_bytes.__getitem__, hk))) + two_m
+                z += lanes(b"".join([c * n for c in cells])) - there - lanes(b"".join(at_kl(cells)))
+                for tm_ones, tm in steps:  # lanes >= t*m lose t*m
+                    z -= ((((z | high) - tm_ones) & high) >> (width - 1)) * tm
+                if z:  # the first lane that is not 0: lane i is bytes i*w8 .. of z, natively
+                    buf = z.to_bytes(n * len(reps) * w8, sys.byteorder)
+                    k, j = divmod((len(buf) - len(buf.lstrip(b"\0"))) // w8, len(reps))
+                    where = ("cocycle identity", (s, h, k, j * blk))
+                    return VerificationReport(False, checked + k * n + j * blk + 1, where)
+                checked += n * n
                 h, here = sh, there
     return VerificationReport(True, checked)
 

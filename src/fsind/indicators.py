@@ -84,21 +84,21 @@ def nu_group_algebra(grp, n):
 
 def check_h2n2(n_param):
     if n_param < 2:
-        raise ValueError("n must be at least 2")
+        raise ValueError("N must be at least 2")
 
 
 def check_hn3(n_param):
     if n_param < 3 or n_param % 2 == 0:
-        raise ValueError("n must be odd and at least 3")
+        raise ValueError("N must be odd and at least 3")
 
 
 def check_suzuki_cyclic(n_param, l, alpha, beta):
     if alpha not in (1, -1) or beta not in (1, -1):
         raise ValueError("alpha and beta must be +1 or -1")
     if l < 2:
-        raise ValueError("l must be at least 2")
+        raise ValueError("L must be at least 2")
     if n_param < 1:
-        raise ValueError("n must be at least 1")
+        raise ValueError("N must be at least 1")
     if n_param % 2 == 0 and alpha == 1:
         raise ValueError("the cyclic case requires (N, alpha) != (even, +1)")
 
@@ -107,9 +107,9 @@ def check_suzuki_noncyclic(n_param, l, beta):
     if beta not in (1, -1):
         raise ValueError("beta must be +1 or -1")
     if n_param % 2 or n_param < 2:
-        raise ValueError("the non-cyclic case requires even N")
+        raise ValueError("N must be even and at least 2")
     if l < 2:
-        raise ValueError("l must be at least 2")
+        raise ValueError("L must be at least 2")
 
 
 def nu_h2n2_closed(n_param, xi_exp, n):

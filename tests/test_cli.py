@@ -490,7 +490,7 @@ class TestFamilyCommand:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(["family", spec, "--n", "1", "--stable"])
             assert code == EXIT_PARSE
-            assert err.getvalue() == "error: n must be at least 1\n", spec
+            assert err.getvalue() == "error: N must be at least 1\n", spec
 
 
 class TestTable27Command:

@@ -7,6 +7,7 @@ import math
 import os
 import random
 from itertools import product, repeat
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from fsind.cyclotomic import CyclotomicInteger, divisors, gauss_sum_closed, root
 from fsind.cocycles import (
     CocycleError,
     ThreeCocycle,
+    VerificationReport,
     c_omega,
     cocycle_from_file,
     conjugate_cocycle,
@@ -80,16 +82,64 @@ def assert_checks_agree(w, label):
         assert coboundary(w, s, h, k, l) % w.value_order, (label, str(report))
 
 
-def _shifted(w, pos, d):
+def _shifted(w, pos, d, block=1):
     """w with the value at pos times exp(2*pi*i*d/M), 0 < d < M; a cocycle
-    with value order 1 is first written with M = 2."""
+    with value order 1 is first written with M = 2.  With block b > 1 the
+    value moves at every (g, h, k) with (g % b, h, k // b) that of pos, so
+    that the result still reads g and k through b alone, and claims b."""
     m = max(w.value_order, 2)
     scale = m // w.value_order
     f = w.exp_fn
+
+    def key(g, h, k):
+        return (g % block, h, k // block) if block > 1 else (g, h, k)
+
+    at = key(*pos)
     return ThreeCocycle(
-        w.group, m, lambda g, h, k: scale * f(g, h, k) + (d if (g, h, k) == pos else 0),
-        label=f"{w.label}+{d}@{pos}",
+        w.group, m, lambda g, h, k: scale * f(g, h, k) + (d if key(g, h, k) == at else 0),
+        label=f"{w.label}+{d}@{pos}", block=block,
     )
+
+
+def _scalar_generator_check(cocycle):
+    """verify_cocycle(cocycle) in mode "auto", decided one quadruple at a time
+    and calling exp_fn for each value it reads: the oracle for the lanes."""
+    grp, f, m, blk = cocycle.group, cocycle.exp_fn, cocycle.value_order, cocycle.block
+    n, mul = grp.order, grp.mul
+    reps = range(0, n, blk)  # one l per block
+    for g in range(n):
+        at_1g = [f(0, g, r) % m for r in reps]
+        at_g1 = [f(g, 0, r) % m for r in reps]
+        for h in range(n):
+            if at_1g[h // blk] or at_g1[h // blk] or f(g, h, 0) % m:
+                return VerificationReport(False, g * n + h + 1, ("normalization", (g, h)))
+    # at_kl[k](row) = row[block of k*l], one entry per block of l
+    at_kl = [itemgetter(*[mul(k, r) // blk for r in reps]) if n > blk else list for k in range(n)]
+
+    def slice_of(h):  # f(h, k, l) for every k and one l per block
+        return [[f(h, k, r) for r in reps] for k in range(n)]
+
+    checked = 0
+    for s in grp.generators():
+        w, seen = slice_of(s), [False] * n
+        for h in range(n):
+            if seen[h]:
+                continue
+            here = first = slice_of(h)
+            while not seen[h]:  # walk the orbit h -> s*h
+                seen[h] = True
+                sh = mul(s, h)
+                there = first if seen[sh] else slice_of(sh)
+                for k in range(n):
+                    e = w[h][k // blk]
+                    terms = zip(here[k], there[k], w[mul(h, k)], at_kl[k](w[h]))
+                    for j, (a, b, c, d) in enumerate(terms):
+                        if (a - b + c - d + e) % m:
+                            where = ("cocycle identity", (s, h, k, j * blk))
+                            return VerificationReport(False, checked + j * blk + 1, where)
+                    checked += n
+                h, here = sh, there
+    return VerificationReport(True, checked)
 
 
 def _oracle_cocycles():
@@ -376,13 +426,13 @@ class TestCosetBlocks:
         assert [d.block for d in derived] == [1] * len(derived)
 
     def test_generator_check_reads_one_l_per_block(self):
-        # hn3:5:1:1 (|G| = 25): normalization 125 * (5 + 5 + 125) calls, then
-        # one slice of 125 x 5 calls per G-part, shared by both generators
+        # hn3:5:1:1 (|G| = 25): one slice of 125 x 5 calls per G-part, shared
+        # by both generators and by normalization, so 125^2 calls in all
         w = parse_family_spec("hn3:5:1:1").omega
         calls, counted = _counted(w.exp_fn)
         report = verify_cocycle(dataclasses.replace(w, exp_fn=counted))
         assert report.ok and report.checked == 2 * 125**3
-        assert calls[0] <= 32_500
+        assert calls[0] == 125**2
         assert report == verify_cocycle(dataclasses.replace(w, block=1))
 
     def test_one_block_check_builds_every_slice(self):
@@ -392,6 +442,97 @@ class TestCosetBlocks:
         calls, counted = _counted(w.exp_fn)
         assert verify_cocycle(dataclasses.replace(w, exp_fn=counted)).ok
         assert calls[0] == 2_304
+
+
+def _coboundary(grp, m, seed):
+    """delta c for a random normalized 2-cochain c mod m: a normalized
+    3-cocycle at every value order m, its values spread over [0, m)."""
+    rng, n, mul = random.Random(seed), grp.order, grp.mul
+    c = [[rng.randrange(m) if g and h else 0 for h in range(n)] for g in range(n)]
+    return ThreeCocycle(
+        grp, m, lambda g, h, k: c[h][k] - c[mul(g, h)][k] + c[g][mul(h, k)] - c[g][h],
+        label=f"delta c mod {m}",
+    )
+
+
+def _scaled(w, scale):
+    """w written with value order scale * M: the same values."""
+    f = w.exp_fn
+    return dataclasses.replace(
+        w, value_order=scale * w.value_order, exp_fn=lambda g, h, k: scale * f(g, h, k)
+    )
+
+
+def assert_lane_reports_agree(w):
+    """The lane check equals the scalar oracle field for field, and the full
+    check gives its verdict (and its report, when normalization fails)."""
+    report = verify_cocycle(w)
+    assert report == _scalar_generator_check(w), (w.label, str(report))
+    full = verify_cocycle(w, mode="full")
+    assert full.ok == report.ok, (w.label, str(report), str(full))
+    if report.failure and report.failure[0] == "normalization":
+        assert full == report, w.label
+    return report
+
+
+class TestLanes:
+    """verify_cocycle decides each (s, h) row with one int of lanes, as wide
+    as 5 * value_order needs; the scalar check is its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bumped_reports_equal_the_scalar_check(self, data):
+        label, w = data.draw(st.sampled_from(ORACLE_COCYCLES + EXTENSION_GRID))
+        w = getattr(w, "omega", w)
+        n = w.group.order
+        if n > 1:
+            pos = data.draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+            shift = data.draw(st.integers(1, max(w.value_order, 2) - 1))
+            w = _shifted(w, pos, shift, block=w.block)
+        assert verify_cocycle(w) == _scalar_generator_check(w), (label, w.label)
+
+    # each width in bits is the least of 8, 16, 32, 64 with 5m < 2^(width - 1);
+    # past 64 the lanes are packed with int.to_bytes.  The orders on both sides
+    # of each bound, and one inside each width, whose lanes overflow any
+    # narrower one
+    @pytest.mark.parametrize("m", [
+        25, 26, 100, 6553, 6554, 30_000, 429496729, 429496730, 2**40, 2**64 + 13
+    ])
+    def test_value_orders_on_both_sides_of_each_lane_width(self, m):
+        for grp in (make_cyclic(5), make_dihedral(6), parse_group_spec("product:cyclic:2,cyclic:4")):
+            n = grp.order
+            w = _coboundary(grp, m, seed=m + n)
+            assert assert_lane_reports_agree(w).ok, (grp.label, m)
+            # (1, 1, 1) first breaks D at lane (k, l) = (1, 1), the first that
+            # a normalized cochain can break; (n-1, n-1, n-1) at the last lane
+            for pos, lane in (((1, 1, 1), (1, 1)), ((n - 1,) * 3, (n - 1, n - 1))):
+                for shift in (1, m - 1):
+                    report = assert_lane_reports_agree(_shifted(w, pos, shift))
+                    assert report.failure[1][2:] == lane, (grp.label, m, pos, shift)
+
+    def test_wide_lanes_with_blocks(self):
+        # psi and an extension cocycle scaled past 2^64, the int.to_bytes path
+        for w in (psi(5, 2), psi(6, 1), parse_family_spec("h2n2:3:1").omega):
+            wide = _scaled(w, 2**62 + 1)
+            assert 5 * wide.value_order >= 2**63
+            assert assert_lane_reports_agree(wide).ok, w.label
+            n, b = w.group.order, w.block
+            for pos in ((1, 1, 1), (n - 1, n - 1, n - 1), (b + 1, 2, b)):
+                assert_lane_reports_agree(_shifted(wide, pos, wide.value_order - 1, block=b))
+
+    def test_order_one(self):
+        # one lane; the trivial group has no generators, so nothing but
+        # normalization is read
+        grp = make_cyclic(1)
+        assert grp.generators() == ()
+        for m in (1, 26, 2**64 + 13):
+            report = verify_cocycle(ThreeCocycle(grp, m, lambda g, h, k: 0))
+            assert (report.ok, report.checked) == (True, 0)
+            assert report == _scalar_generator_check(ThreeCocycle(grp, m, lambda g, h, k: 0))
+            bad = ThreeCocycle(grp, max(m, 2), lambda g, h, k: 1)
+            assert verify_cocycle(bad) == verify_cocycle(bad, mode="full") == VerificationReport(
+                False, 1, ("normalization", (0, 0))
+            )
 
 
 def _counted(f):

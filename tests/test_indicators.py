@@ -281,6 +281,24 @@ class TestClosedFormSuzuki:
             nu_suzuki_noncyclic_closed(3, 2, 1, 2)
 
 
+class TestParameterErrors:
+    # the family parameters are N and L, as in the spec fields of FAMILIES;
+    # n is the indicator index
+    @pytest.mark.parametrize("closed, args, message", [
+        (nu_h2n2_closed, (1, 0, 4), "N must be at least 2"),
+        (nu_hn3_closed, (1, 0, 0, 3), "N must be odd and at least 3"),
+        (nu_hn3_closed, (4, 0, 0, 3), "N must be odd and at least 3"),
+        (nu_suzuki_cyclic_closed, (0, 2, -1, 1, 2), "N must be at least 1"),
+        (nu_suzuki_noncyclic_closed, (0, 2, 1, 2), "N must be even and at least 2"),
+        (nu_suzuki_noncyclic_closed, (3, 2, 1, 2), "N must be even and at least 2"),
+        (nu_suzuki_cyclic_closed, (1, 1, -1, 1, 2), "L must be at least 2"),
+        (nu_suzuki_noncyclic_closed, (2, 1, 1, 2), "L must be at least 2"),
+    ])
+    def test_out_of_range_family_parameters_are_named(self, closed, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            closed(*args)
+
+
 class TestDerivedValues:
     def test_nu_center_matches_double_brute(self):
         # the center construction doubles the group and pairs the cocycle

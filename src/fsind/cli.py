@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import divisors, gauss_sum_closed, gauss_sum_direct
 from .groups import SpecError, parse_group_spec, spec_int
-from .cocycles import CocycleError, parse_cocycle_spec, verify_cocycle
+from .cocycles import CocycleError, parse_cocycle_spec
 from .extensions import GTCategory, parse_family_spec, split_family_spec
 from .indicators import frobenius_check, nu_brute, nu_group_algebra, nu_hn3_closed, nu_literal
 
@@ -129,13 +129,9 @@ def _indicators(args, order, evaluate, **record):
     return Output(record, text, [VALUE_COLUMNS, *map(_csv_row, rows)])
 
 
-def _gt_category(group_spec, cocycle_spec, verify=False):
+def _gt_category(group_spec, cocycle_spec):
     grp = parse_group_spec(group_spec)
     cocycle = parse_cocycle_spec(cocycle_spec, grp)
-    if verify and not cocycle_spec.startswith("file:"):  # a file is verified on load
-        report = verify_cocycle(cocycle)
-        if not report.ok:
-            raise CocycleError(str(report))
     return GTCategory(grp, cocycle, label=f"({grp.label},{cocycle.label})")
 
 
@@ -156,7 +152,7 @@ def cmd_group(args):
 
 
 def cmd_gt(args):
-    cat = _gt_category(args.group, args.cocycle, args.verify)
+    cat = _gt_category(args.group, args.cocycle)
     return _indicators(
         args,
         cat.group.order,
@@ -322,7 +318,6 @@ def build_parser():
     p.add_argument("--group", required=True)
     p.add_argument("--cocycle", required=True)
     p.add_argument("--n", required=True)
-    p.add_argument("--verify", action="store_true", help="verify the cocycle first")
     common(p)
     p.set_defaults(func=cmd_gt)
 

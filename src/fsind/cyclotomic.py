@@ -90,24 +90,25 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     poly = [0] * (m + 1)
     poly[0], poly[m] = -1, 1
     for d in divisors(m)[:-1]:
-        poly = _poly_exact_div(poly, cyclotomic_polynomial(d))
+        poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+        if any(rem):
+            raise ArithmeticError("polynomial division was not exact")
     return tuple(poly)
 
 
-def _poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact division of integer polynomials, den monic."""
+def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (ascending coefficients),
+    den monic and no longer than num."""
     num = list(num)
     dn = len(den) - 1
-    out = [0] * (len(num) - dn)
+    quot = [0] * (len(num) - dn)
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         if c:
-            out[i - dn] = c
+            quot[i - dn] = c
             for j, dc in enumerate(den):
                 num[i - dn + j] -= c * dc
-    if any(num):
-        raise ArithmeticError("polynomial division was not exact")
-    return out
+    return quot, num[:dn]
 
 
 @lru_cache(maxsize=None)
@@ -277,12 +278,10 @@ class CyclotomicInteger:
     def power_basis_coeffs(self) -> tuple[int, list[int]]:
         """(minimal conductor M, coordinates in the basis 1, zeta_M, ...)."""
         m = self.conductor
-        phi = euler_phi(m)
         poly = [0] * m
         for e, c in self._coeffs.items():
             poly[e] = c
-        rem = _poly_mod(poly, cyclotomic_polynomial(m))
-        return m, (rem + [0] * phi)[:phi]
+        return m, _poly_divmod(poly, cyclotomic_polynomial(m))[1]
 
     def to_complex(self) -> complex:
         """The complex value, its real and imaginary parts each summed with
@@ -327,22 +326,6 @@ def _coerce(x) -> CyclotomicInteger:
     raise TypeError(f"cannot interpret {x!r} as a cyclotomic integer")
 
 
-def _poly_mod(poly: list[int], mod: tuple[int, ...]) -> list[int]:
-    """Remainder of poly modulo a monic integer polynomial, ascending coeffs."""
-    poly = list(poly)
-    dn = len(mod) - 1
-    for i in range(len(poly) - 1, dn - 1, -1):
-        c = poly[i]
-        if c:
-            poly[i] = 0
-            for j in range(dn):
-                poly[i - dn + j] -= c * mod[j]
-    out = poly[:dn]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # roots of unity
 
@@ -377,9 +360,6 @@ class RootOfUnity:
 
     def as_cyclotomic(self) -> CyclotomicInteger:
         return CyclotomicInteger(self.order, {self.exponent: 1})
-
-    def to_complex(self) -> complex:
-        return cmath.exp(2j * cmath.pi * self.exponent / self.order)
 
 
 def root(order: int, exponent: int) -> CyclotomicInteger:

@@ -51,10 +51,7 @@ class FiniteGroup:
         self.label = label
         rows = mul
         if callable(mul):
-            # every entry equal to x becomes one shared int object (above 256
-            # it would otherwise be an object of its own)
-            get = {x: x for x in range(order)}.get
-            rows = ([get(v, v) for v in map(mul, repeat(g), range(order))] for g in range(order))
+            rows = (list(map(mul, repeat(g), range(order))) for g in range(order))
         self._source = rows  # None once read into _rows
         self._orders = self._gens = None
         if check:
@@ -291,36 +288,39 @@ class MatchedPair:
         nf, ng = self.F.order, self.G.order
         check_order(nf * ng)
         left, right, fm, gm = self.act_left, self.act_right, self.F._table, self.G._table
+        flats = []  # each table read once, flat over (g, y) at g*|F| + y
         for table, act, bound in ((left, "g |> y", nf), (right, "g <| y", ng)):
             if len(table) != ng or set(map(len, table)) != {nf}:
                 raise ValueError(f"action {act} needs |G| = {ng} rows of |F| = {nf} entries")
-            for g, row in enumerate(table):
-                if min(row) < 0 or max(row) >= bound:
-                    y = next(y for y, v in enumerate(row) if not 0 <= v < bound)
-                    raise ValueError(
-                        f"action {act} at (g, y) = {(g, y)} is {row[y]!r}, out of range 0..{bound - 1}"
-                    )
-        if list(left[0]) != list(range(nf)):
+            flats.append(flat := list(chain.from_iterable(table)))
+            if min(flat) < 0 or max(flat) >= bound:
+                i = next(i for i, v in enumerate(flat) if not 0 <= v < bound)
+                raise ValueError(
+                    f"action {act} at (g, y) = {divmod(i, nf)} is {flat[i]!r},"
+                    f" out of range 0..{bound - 1}"
+                )
+        fl, fr = flats
+        if fl[:nf] != list(range(nf)):
             raise ValueError("identity of G must act trivially on F")
-        if list(map(itemgetter(0), right)) != list(range(ng)):
+        if fr[::nf] != list(range(ng)):
             raise ValueError("identity of F must act trivially on G")
 
-        def law(text, names, s, want, got):  # want as rows, got flat, both over (row, y)
-            if (want := list(chain.from_iterable(want))) != (got := list(got)):
+        def law(text, names, s, want, got):  # both flat over (row, y)
+            if (want := list(want)) != (got := list(got)):
                 r, y = divmod(next(i for i, w in enumerate(want) if w != got[i]), nf)
                 raise ValueError(f"not a matched pair: {text} fails at {names} = {(s, r, y)}")
-        fl, fr = list(chain.from_iterable(left)), list(chain.from_iterable(right))
         for g in self.G.generators():  # at h = 1 they give 1 <| y = 1
-            lgh, rgh = (map(t.__getitem__, gm[g]) for t in (left, right))  # rows at gh, each h
+            lgh, rgh = (chain.from_iterable(map(t.__getitem__, gm[g])) for t in (left, right))
             law("(gh)|>y = g|>(h|>y)", "(g, h, y)", g, lgh, map(left[g].__getitem__, fl))
             got = map(getitem, map(gm.__getitem__, map(right[g].__getitem__, fl)), fr)
             law("(gh)<|y = (g<|(h|>y))(h<|y)", "(g, h, y)", g, rgh, got)
         for x in self.F.generators():  # at y = 1 they give g |> 1 = 1
-            lx, rx = ([row[x] for row in t] for t in (left, right))
-            yx = itemgetter(*(row[x] for row in fm))  # a tuple: F has a generator, so |F| > 1
-            law("g<|(yx) = (g<|y)<|x", "(x, g, y)", x, map(yx, right), map(rx.__getitem__, fr))
+            lx, rx, col = fl[x::nf], fr[x::nf], [row[x] for row in fm]  # col: y*x, each y
+            yx = [base + c for base in range(0, nf * ng, nf) for c in col]  # at (g, y*x)
+            lyx, ryx = (map(t.__getitem__, yx) for t in (fl, fr))
+            law("g<|(yx) = (g<|y)<|x", "(x, g, y)", x, ryx, map(rx.__getitem__, fr))
             got = map(getitem, map(fm.__getitem__, fl), map(lx.__getitem__, fr))
-            law("g|>(yx) = (g|>y)((g<|y)|>x)", "(x, g, y)", x, map(yx, left), got)
+            law("g|>(yx) = (g|>y)((g<|y)|>x)", "(x, g, y)", x, lyx, got)
 
 
 def trivial_pair(f_group, g_group):

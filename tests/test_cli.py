@@ -254,21 +254,13 @@ class TestGtCommand:
         assert code == EXIT_OK
         assert "nu_5" in out and "[brute]" in out
 
-    def test_verify_pass(self, capsys):
-        code, _, _ = run(
-            capsys, "gt", "--group", "cyclic:4", "--cocycle", "psi:2",
-            "--n", "2", "--verify",
-        )
-        assert code == EXIT_OK
-
     def test_verify_rejects_one_altered_value_on_z100(self, capsys, tmp_path):
         # a single entry at (1, 1, 22): the former 1M-quadruple sampled check
         # never met it, and printed nu_2 = 2 with exit 0
         path = tmp_path / "one-entry.txt"
         path.write_text("order 2\n1 1 22 1\n")
         code, out, err = run(
-            capsys, "gt", "--group", "cyclic:100", "--cocycle", f"file:{path}",
-            "--verify", "--n", "2",
+            capsys, "gt", "--group", "cyclic:100", "--cocycle", f"file:{path}", "--n", "2",
         )
         assert code == EXIT_COCYCLE
         assert "cocycle identity" in err and out == ""
@@ -281,12 +273,10 @@ class TestGtCommand:
             return verify_cocycle(cocycle, *args, **kwargs)
 
         monkeypatch.setattr(cocycles, "verify_cocycle", counting)
-        monkeypatch.setattr(cli, "verify_cocycle", counting)
         path = tmp_path / "trivial.txt"
         path.write_text("order 2\n")
         code, _, _ = run(
-            capsys, "gt", "--group", "cyclic:4", "--cocycle", f"file:{path}",
-            "--verify", "--n", "2",
+            capsys, "gt", "--group", "cyclic:4", "--cocycle", f"file:{path}", "--n", "2",
         )
         assert code == EXIT_OK and len(calls) == 1
 
@@ -350,7 +340,7 @@ class TestGtCommand:
         for group in ("product:cyclic:2,cyclic:3", "cyclic:6"):
             code, out, _ = run(
                 capsys, "gt", "--group", group, "--cocycle", "psi:1", "--n", "1..6",
-                "--verify", "--format", "json", "--stable",
+                "--format", "json", "--stable",
             )
             assert code == EXIT_OK, group
             texts[group] = [row["text"] for row in json.loads(out)["results"]]

@@ -204,6 +204,10 @@ class TestPsi:
         for n in range(1, 9):
             for r in range(n):
                 assert verify_cocycle(psi(n, r), mode="full").ok
+        # a cyclic group whose generator is not 1: psi read through a discrete log
+        z6 = parse_group_spec("product:cyclic:2,cyclic:3")
+        for r in range(6):
+            assert verify_cocycle(psi_on(z6, r), mode="full").ok
 
     def test_trivial_power(self):
         # psi^n is a coboundary-level statement we can't see, but psi^0 is 1

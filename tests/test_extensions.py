@@ -69,6 +69,14 @@ class TestMatchedPairs:
                 FIXED, [[0, 1, 2], [1, 2, 0]],
                 "not a matched pair: (gh)|>y = g|>(h|>y) fails at (g, h, y) = (1, 1, 0)",
             ),
+            (
+                [[0, 0, 0], [1, 0, 1]], [[0, 1, 2]] * 2,
+                "not a matched pair: g<|(yx) = (g<|y)<|x fails at (x, g, y) = (1, 1, 1)",
+            ),
+            (
+                FIXED, [[0, 1, 2], [1, 0, 2]],
+                "not a matched pair: g|>(yx) = (g|>y)((g<|y)|>x) fails at (x, g, y) = (1, 1, 0)",
+            ),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 MatchedPair(make_cyclic(3), make_cyclic(2), right, left)

@@ -254,6 +254,16 @@ class TestGtCommand:
         assert code == EXIT_OK
         assert "nu_5" in out and "[brute]" in out
 
+    def test_verify_flag_is_refused(self, capsys):
+        # psi and trivial are cocycles by construction and a file cocycle is
+        # verified on load, so gt has no --verify; argparse refuses it
+        argv = ["gt", "--group", "cyclic:4", "--cocycle", "psi:2", "--n", "2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and "nu_2" in out
+        code, out, err = run(capsys, *argv, "--verify")
+        assert code == EXIT_PARSE and out == ""
+        assert "unrecognized arguments: --verify" in err
+
     def test_verify_rejects_one_altered_value_on_z100(self, capsys, tmp_path):
         # a single entry at (1, 1, 22): the former 1M-quadruple sampled check
         # never met it, and printed nu_2 = 2 with exit 0

@@ -405,6 +405,8 @@ def cocycle_from_file(group, path):
         for v in (g, h, k):
             if not 0 <= v < group.order:
                 raise SpecError(f"cocycle file line {i}: element index {v} out of range")
+        if (g, h, k) in table:
+            raise SpecError(f"cocycle file line {i}: triple {(g, h, k)} is given twice")
         table[(g, h, k)] = e % m
 
     cocycle = ThreeCocycle(

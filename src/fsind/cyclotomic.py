@@ -84,8 +84,6 @@ def jacobi_symbol(a: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial."""
-    if m == 1:
-        return (-1, 1)
     # divide x^m - 1 by the product of Phi_d for proper divisors d
     poly = [0] * (m + 1)
     poly[0], poly[m] = -1, 1
@@ -155,7 +153,7 @@ class CyclotomicInteger:
 
     @classmethod
     def from_int(cls, n: int) -> "CyclotomicInteger":
-        return cls(1, {0: n} if n else {})
+        return cls(1, {0: n})
 
     @classmethod
     def zero(cls) -> "CyclotomicInteger":
@@ -341,7 +339,7 @@ class RootOfUnity:
         if self.order < 1:
             raise ValueError("order must be positive")
         k = self.exponent % self.order
-        g = math.gcd(k, self.order) if k else self.order
+        g = math.gcd(k, self.order)
         object.__setattr__(self, "order", self.order // g)
         object.__setattr__(self, "exponent", k // g)
 
@@ -426,8 +424,6 @@ def gauss_sum_closed(a: int, m: int) -> CyclotomicInteger:
     if m < 1:
         raise ValueError("modulus must be positive")
     a %= m
-    if m == 1:
-        return CyclotomicInteger.from_int(1)
     if a == 0:
         return CyclotomicInteger.from_int(m)
     d = math.gcd(a, m)

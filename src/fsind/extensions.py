@@ -290,6 +290,8 @@ def pair_from_file(path):
     while i < len(lines):
         head = lines[i]
         i += 1
+        if head[0] in groups or head[0] in tables:
+            raise SpecError(f"pair file declares {head[0]} twice")
         if head[0] in ("F", "G") and len(head) == 2:
             groups[head[0]] = parse_group_spec(head[1])
         elif head[0] in ("act_left", "act_right") and len(head) == 1:

@@ -121,7 +121,7 @@ def nu_h2n2_closed(n_param, xi_exp, n):
     d = math.gcd(big_n, n)
     if n % 2 == 1:
         return CyclotomicInteger.from_int(d * d)
-    ord_xi = big_n // math.gcd(big_n, xi_exp % big_n) if xi_exp % big_n else 1
+    ord_xi = big_n // math.gcd(big_n, xi_exp)
     if b_p(2, big_n) == b_p(2, ord_xi) == b_p(2, n) - 1 and b_p(2, big_n) >= 1:
         return CyclotomicInteger.from_int(d * d)
     return CyclotomicInteger.from_int(d * d + big_n * math.gcd(big_n, n // 2))
@@ -139,9 +139,9 @@ def nu_hn3_closed(n_param, xi_exp, zeta_exp, n):
     d = math.gcd(big_n, n)
     e1 = big_n * n // (d * d)
     alpha_exp = (xi_exp * e1) % big_n
-    ord_alpha = big_n // math.gcd(big_n, alpha_exp) if alpha_exp else 1
-    ord_xi = big_n // math.gcd(big_n, xi_exp % big_n) if xi_exp % big_n else 1
-    ord_zeta = big_n // math.gcd(big_n, zeta_exp % big_n) if zeta_exp % big_n else 1
+    ord_alpha = big_n // math.gcd(big_n, alpha_exp)
+    ord_xi = big_n // math.gcd(big_n, xi_exp)
+    ord_zeta = big_n // math.gcd(big_n, zeta_exp)
     exceptional = (
         b_p(3, n) == b_p(3, big_n) == b_p(3, ord_zeta)
         and b_p(3, n) >= 1
@@ -192,12 +192,7 @@ def nu_suzuki_noncyclic_closed(n_param, l, beta, n):
     if b_p(2, n) - 1 >= b_p(2, n_param):
         total += l * dn
     if b_p(2, n) - 1 >= max(b_p(2, n_param), b_p(2, l)):
-        eps = 1
-        if b_p(2, n) == 1:
-            eps *= -1
-        if b_p(2, n) - 1 == b_p(2, l):
-            eps *= beta
-        total += eps * dn * dl
+        total += (beta if b_p(2, n) - 1 == b_p(2, l) else 1) * dn * dl
     return CyclotomicInteger.from_int(total)
 
 
@@ -254,10 +249,6 @@ class FrobeniusReport:
         return all(e.divisible_by_n for e in self.entries)
 
 
-def _is_prime(p):
-    return p >= 2 and factorize(p) == {p: 1}
-
-
 def frobenius_check(cat):
     """Divisibility of nu_n by n over every divisor n of the group order.
 
@@ -276,7 +267,7 @@ def frobenius_check(cat):
             entry.p = p
             if p == 2:
                 entry.note = "even prime: plain divisibility expected"
-            elif _is_prime(p):
+            elif factorize(p) == {p: 1}:
                 entry.divisible_by_n_over_sqrt_p = divide_by_sqrt_p_and_test(
                     value, n, p
                 )

@@ -326,10 +326,20 @@ class TestGtCommand:
         assert "cocycle file line 2, field k: expected an integer, got 'a'" in err
         assert "Traceback" not in err
 
+    def test_cocycle_file_refuses_a_triple_given_twice(self, capsys, tmp_path):
+        path = tmp_path / "cocycle.txt"
+        path.write_text("order 3\n0 1 1 0\n1 1 1 0\n\n2 1 1 0\n1 2 1 0\n0 1 1 0\n")
+        code, _, err = run(
+            capsys, "gt", "--group", "cyclic:3", "--cocycle", f"file:{path}", "--n", "3"
+        )
+        assert code == EXIT_PARSE
+        assert "cocycle file line 7: triple (0, 1, 1) is given twice" in err
+
     @settings(max_examples=200, deadline=None)
     @given(_body(3, 4))
     @example("order 3\n1 1 1 1\n")
     @example("order 3\n0 0 0 2\n")
+    @example("order 3\n1 1 1 0\n1 1 1 0\n")
     def test_cocycle_file_fuzz_exits_cleanly(self, body):
         code, err = run_on_file(
             ["gt", "--group", "cyclic:3", "--cocycle", "file:{path}", "--n", "3", "--stable"],
@@ -447,6 +457,18 @@ class TestFamilyCommand:
         assert code == EXIT_PARSE
         assert "act_right row 1, column 1: expected an integer, got 'x'" in err
 
+    def test_bismash_duplicate_declarations(self, capsys, tmp_path):
+        path = tmp_path / "pair.txt"
+        for body, name in (
+            ("F cyclic:2\nG cyclic:3\nF cyclic:3\n", "F"),
+            ("F cyclic:2\nG cyclic:3\nact_right\n0 0\n1 1\n0 1\nact_right\n0 0\n0 0\n0 0\n",
+             "act_right"),
+        ):
+            path.write_text(body)
+            code, out, err = run(capsys, "family", f"bismash:{path}", "--n", "1")
+            assert code == EXIT_PARSE and out == ""
+            assert f"pair file declares {name} twice" in err
+
     def test_bismash_incompatible_actions(self, capsys, tmp_path):
         path = tmp_path / "pair.txt"
         path.write_text(INCOMPATIBLE_PAIR)
@@ -465,6 +487,7 @@ class TestFamilyCommand:
     @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n0 2\n")  # a short row
     @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n0 5 1\n")  # an entry out of range
     @example(INCOMPATIBLE_PAIR)
+    @example("F cyclic:3\nG cyclic:2\nact_left\n0 1 2\n0 2 1\nact_left\n0 1 2\n0 1 2\n")
     def test_pair_file_fuzz_exits_cleanly(self, body):
         code, err = run_on_file(["family", "bismash:{path}", "--n", "1,2", "--stable"], body)
         assert code in (EXIT_OK, EXIT_PARSE), (body, code, err)

@@ -281,6 +281,38 @@ class TestClosedFormSuzuki:
             nu_suzuki_noncyclic_closed(3, 2, 1, 2)
 
 
+@st.composite
+def closed_form_params(draw):
+    """(kind, params) of a family with a closed form: accepted parameters,
+    |Gamma| <= 1024, every allowed sign."""
+    kind = draw(st.sampled_from(["h2n2", "hn3", "suzuki", "suzukiP"]))
+    sign = st.sampled_from((1, -1))
+    if kind == "h2n2":  # |Gamma| = 2N^2
+        n = draw(st.integers(2, 22))
+        return kind, (n, draw(st.integers(-3 * n, 3 * n)))
+    if kind == "hn3":  # |Gamma| = N^3
+        n = draw(st.sampled_from((3, 5, 7)))
+        return kind, (n, draw(st.integers(-2 * n, 2 * n)), draw(st.integers(-2 * n, 2 * n)))
+    # |Gamma| = 4NL with L >= 2
+    n = draw(st.integers(1, 64).map(lambda k: 2 * k) if kind == "suzukiP" else st.integers(1, 128))
+    l = draw(st.integers(2, 256 // n))
+    if kind == "suzukiP":
+        return kind, (n, l, draw(sign))
+    return kind, (n, l, -1 if n % 2 == 0 else draw(sign), draw(sign))
+
+
+class TestClosedFormsOffTheGrids:
+    @settings(max_examples=200, deadline=None)
+    @given(closed_form_params())
+    def test_closed_form_matches_the_profile(self, drawn):
+        kind, params = drawn
+        fam = FAMILIES[kind]
+        cat = fam.build(*params)
+        order = cat.group.order
+        for n in divisors(order) + [2 * order, 3 * order]:
+            assert fam.closed(*params, n) == nu_brute(cat, n), (kind, params, n)
+
+
 class TestParameterErrors:
     # the family parameters are N and L, as in the spec fields of FAMILIES;
     # n is the indicator index

@@ -36,7 +36,8 @@ EXIT_COCYCLE = 3
 EXIT_FROBENIUS = 4
 EXIT_MISMATCH = 5
 
-# The most n values one --n list may hold, counted before any is made
+# The most n values one --n list may hold, counted before any is made; also
+# the largest gauss modulus, refused before its m terms are summed
 MAX_N_VALUES = 100_000
 
 
@@ -273,6 +274,8 @@ def cmd_frobenius(args):
 
 
 def cmd_gauss(args):
+    if args.m > MAX_N_VALUES:
+        raise SpecError(f"the gauss modulus may be at most {MAX_N_VALUES}")
     direct = gauss_sum_direct(args.a, args.m)
     closed = gauss_sum_closed(args.a, args.m)
     equal = direct == closed

@@ -421,6 +421,7 @@ def group_from_table_file(path):
         raise SpecError("table file must start with 'order N'")
     word = tokens[1]
     n = spec_int(word, f"table file header 'order N': expected an integer, got {word!r}")
+    check_order(n)
     body = tokens[2:]
     if len(body) != n * n:
         raise SpecError(f"expected {n * n} table entries, found {len(body)}")

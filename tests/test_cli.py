@@ -8,8 +8,11 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +30,7 @@ from fsind.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
+    MAX_N_VALUES,
     SpecError,
     main,
     parse_n_list,
@@ -217,6 +221,14 @@ class TestGroupCommand:
             code, _, err = run(capsys, "group", f"table:{path}", "--n", "2")
             assert code == EXIT_PARSE
             assert expected in err and "Traceback" not in err
+
+    def test_table_file_over_the_cap_is_refused_by_its_header(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("order 5000\n")
+        code, out, err = run(capsys, "group", f"table:{path}", "--n", "1")
+        assert code == EXIT_PARSE
+        assert "group order 5000 exceeds the limit of 4096" in err
+        assert "Traceback" not in err and out == ""
 
     def test_altered_table_is_rejected(self, capsys, tmp_path):
         # the order-338 bicrossed product of h2n2_pair(13) with entry
@@ -605,6 +617,21 @@ class TestGaussCommand:
         assert "verdict: FAIL" in outs["text"]
         assert json.loads(outs["json"])["verdict"] is False
 
+    def test_modulus_at_the_cap(self, capsys):
+        code, out, _ = run(capsys, "gauss", "1", str(MAX_N_VALUES), "--stable")
+        assert code == EXIT_OK
+        assert "verdict: pass" in out
+
+    def test_modulus_above_the_cap_is_refused_before_any_sum(self, capsys, monkeypatch):
+        def unreachable(a, m):
+            raise AssertionError("summed a refused modulus")
+
+        monkeypatch.setattr(cli, "gauss_sum_direct", unreachable)
+        code, out, err = run(capsys, "gauss", "1", str(MAX_N_VALUES + 1))
+        assert code == EXIT_PARSE
+        assert f"the gauss modulus may be at most {MAX_N_VALUES}" in err
+        assert "Traceback" not in err and out == ""
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -616,3 +643,19 @@ class TestUsageErrors:
         code = main(["group"])
         capsys.readouterr()
         assert code == EXIT_PARSE
+
+
+def test_process_exit_code():
+    # a process, not main(): `python -m fsind.cli` ends in sys.exit(main()),
+    # so the Frobenius failure of (Z_5, psi^1) is the process's exit code
+    golden = Path(__file__).parent / "golden"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["frobenius", "--group", "cyclic:5", "--cocycle", "psi:1", "--stable"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fsind.cli", *argv],
+        cwd=golden, env={**os.environ, "PYTHONPATH": path}, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_FROBENIUS, proc.stderr
+    assert proc.stdout == (golden / "frobenius_cyclic_5_psi_1.text").read_bytes()
+    assert proc.stderr == b""

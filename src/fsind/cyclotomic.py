@@ -13,10 +13,14 @@ Z[zeta_gcd(a, b)] (Washington, Introduction to Cyclotomic Fields, ch. 2).
 The constructor establishes this once, in `_shrink_conductor`, so equal
 values have equal conductors and equal coefficients.
 
-Each ring operation canonicalizes once at the conductor it works at, plus
-once at the minimal conductor when that is smaller; a product with a rational
-c (negation is c = -1) not at all: c != 0 keeps the support, and c*x in
-Z[zeta_d] puts x in Q(zeta_d) & Z[zeta_M] = Z[zeta_d], so the conductor stays.
+The constructor takes any integer exponents, summing those equal mod M.  It
+divides M and them by their gcd g first (zeta_M^x = zeta_{M/g}^{x/g}) and
+canonicalizes once at M/g, then `_shrink_conductor` catches what cancellation
+lowers further.  Each ring operation canonicalizes once at the conductor it
+works at, plus once at the minimal conductor when that is smaller; a product
+with a rational c (negation is c = -1) not at all: c != 0 keeps the support,
+and c*x in Z[zeta_d] puts x in Q(zeta_d) & Z[zeta_M] = Z[zeta_d], so the
+conductor stays.
 
 The power basis 1, zeta, ..., zeta^{phi(M)-1} (remainder modulo the M-th
 cyclotomic polynomial) is used for serialization and text rendering.
@@ -144,7 +148,13 @@ class CyclotomicInteger:
         if conductor < 1:
             raise ValueError("conductor must be positive")
         if not _reduced:
-            coeffs = _canonicalize(conductor, {x % conductor: c for x, c in coeffs.items()})
+            g = math.gcd(conductor, *coeffs)
+            conductor //= g
+            summed: dict[int, int] = {}
+            for x, c in coeffs.items():
+                y = x // g % conductor
+                summed[y] = summed.get(y, 0) + c
+            coeffs = _canonicalize(conductor, summed)
         self.conductor = conductor
         self._coeffs = coeffs
         self._shrink_conductor()
@@ -242,7 +252,7 @@ class CyclotomicInteger:
 
     def conjugate(self) -> "CyclotomicInteger":
         m = self.conductor
-        return CyclotomicInteger(m, {(-x) % m: c for x, c in self._coeffs.items()})
+        return CyclotomicInteger(m, {-x: c for x, c in self._coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (int, CyclotomicInteger)):
@@ -364,7 +374,7 @@ def root(order: int, exponent: int) -> CyclotomicInteger:
     """zeta_order^exponent as an exact cyclotomic integer."""
     if order < 1:
         raise ValueError("order must be positive")
-    return CyclotomicInteger(order, {exponent % order: 1})
+    return CyclotomicInteger(order, {exponent: 1})
 
 
 ONE = CyclotomicInteger.from_int(1)
@@ -375,14 +385,25 @@ I_UNIT = root(4, 1)
 # quadratic Gauss sums
 
 
+@lru_cache(maxsize=None)
+def _square_counts(m: int) -> tuple[tuple[int, int], ...]:
+    """(x, #{i < m : i^2 = x mod m}) for each square x mod m."""
+    counts = [0] * m
+    for i in range(m):
+        counts[i * i % m] += 1
+    return tuple((x, c) for x, c in enumerate(counts) if c)
+
+
 def gauss_sum_direct(a: int, m: int) -> CyclotomicInteger:
-    """S(a, m) = sum_{i<m} exp(2*pi*i*a*i^2/m), summed literally."""
+    """S(a, m) = sum_{i<m} exp(2*pi*i*a*i^2/m), summed literally, the terms
+    grouped by i^2 mod m (a histogram cached per modulus)."""
     if m < 1:
         raise ValueError("modulus must be positive")
+    a %= m
     counts: dict[int, int] = {}
-    for i in range(m):
-        x = (a * i * i) % m
-        counts[x] = counts.get(x, 0) + 1
+    for x, c in _square_counts(m):
+        y = a * x % m
+        counts[y] = counts.get(y, 0) + c
     return CyclotomicInteger(m, counts)
 
 

@@ -416,13 +416,16 @@ def spec_int(token, message):
 def group_from_table_file(path):
     """Load a group from a text table: `order N` then N rows of N indices."""
     with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2 or tokens[0] != "order":
-        raise SpecError("table file must start with 'order N'")
-    word = tokens[1]
-    n = spec_int(word, f"table file header 'order N': expected an integer, got {word!r}")
-    check_order(n)
-    body = tokens[2:]
+        # read the header whole, doubling each read, and the body after the cap check
+        head = ""
+        while len(tokens := head.split(None, 2)) < 3 and (chunk := fh.read(max(4096, len(head)))):
+            head += chunk
+        if len(tokens) < 2 or tokens[0] != "order":
+            raise SpecError("table file must start with 'order N'")
+        word = tokens[1]
+        n = spec_int(word, f"table file header 'order N': expected an integer, got {word!r}")
+        check_order(n)
+        body = ("".join(tokens[2:]) + fh.read()).split()
     if len(body) != n * n:
         raise SpecError(f"expected {n * n} table entries, found {len(body)}")
 

@@ -256,6 +256,25 @@ class TestNormalForm:
         y = CyclotomicInteger(k * m, {k * j: c for j, c in enumerate(coeffs)})
         assert (y.conductor, y._coeffs) == (x.conductor, x._coeffs)
 
+    def test_exponents_equal_mod_m_add_up(self):
+        # 1 = 5 mod 4 and -1 = 2 mod 3: each pair is one monomial, twice
+        assert CyclotomicInteger(4, {1: 1, 5: 1}) == 2 * root(4, 1)
+        assert CyclotomicInteger(3, {-1: 1, 2: 1}) == 2 * root(3, 2)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_constructor_is_the_sum_of_its_terms(self, data):
+        # exponents below 0 and at or above M, several in one class mod M, and
+        # often all sharing a factor d with M
+        m = data.draw(st.sampled_from(WIDE_CONDUCTORS))
+        d = data.draw(st.sampled_from(divisors(m)))
+        terms = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(-3, 3)), st.integers(-9, 9), max_size=8
+        ))
+        coeffs = {r * d + k * m: c for (r, k), c in terms.items()}
+        expected = sum((c * root(m, x) for x, c in coeffs.items()), CyclotomicInteger.zero())
+        assert CyclotomicInteger(m, coeffs) == expected
+
     def test_render(self):
         assert CyclotomicInteger.from_int(5).render_text() == "5"
         assert (15 + 12 * root(3, 1)).render_text() == "15 + 12*z3^1"

@@ -73,6 +73,14 @@ class TestGaussSums:
             for a in range(m):
                 assert gauss_sum_closed(a, m) == gauss_sum_direct(a, m), (a, m)
 
+    def test_direct_reads_a_mod_m(self):
+        # a below 0, at or above m, and far beyond the range of a machine word
+        for m in range(1, 41):
+            for a in (-m - 1, -1, m, 2 * m + 3, 10**20, -(10**20) - 1):
+                direct = gauss_sum_direct(a, m)
+                assert direct == gauss_sum_closed(a, m), (a, m)
+                assert direct == gauss_sum_direct(a % m, m), (a, m)
+
     def test_closed_and_direct_print_the_same_json(self):
         # equal values give equal approx floats, however their terms are stored
         for m in range(1, 81):

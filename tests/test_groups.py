@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -447,6 +448,31 @@ class TestTableFiles:
         path.write_text("order 2\n0 1\n")
         with pytest.raises(ValueError):
             group_from_table_file(path)
+
+    @pytest.mark.parametrize("pad", [0, 1, 2, 4089])
+    def test_header_and_body_split_across_reads(self, tmp_path, pad):
+        # whitespace before the order moves the read boundaries through the
+        # header word (pad 4089) and through the body tokens of Z_100's table
+        path = tmp_path / "z100.txt"
+        path.write_text("order" + " " * pad + " 100\n" + "\n".join(
+            " ".join(f"{(g + h) % 100:03}" for h in range(100)) for g in range(100)
+        ))
+        loaded = group_from_table_file(path)
+        assert [loaded.mul(g, h) for g in range(100) for h in range(100)] == [
+            (g + h) % 100 for g in range(100) for h in range(100)
+        ]
+
+    def test_over_the_cap_is_refused_before_the_body_is_read(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("order 5000\n" + "0 " * 2_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecError, match="group order 5000 exceeds the limit of 4096"):
+                group_from_table_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
 
 class TestSpecParsing:

@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .cyclotomic import CyclotomicInteger, RootOfUnity
-from .groups import FiniteGroup, SpecError, direct_product, make_cyclic, spec_int
+from .groups import FiniteGroup, SpecError, direct_product, make_cyclic, records, spec_int
 
 
 _ARRAY_CODES = {array(c).itemsize: c for c in "QLIHB"}  # bytes per item: array code
@@ -384,34 +384,33 @@ def cocycle_from_file(group, path):
     """Load and verify a cocycle from lines `g h k e` under a header `order M`.
 
     The value at (g, h, k) is exp(2*pi*i*e/M); absent triples default to 1.
-    A file that is not a normalized 3-cocycle raises CocycleError.
+    The file is read a line at a time and refused (SpecError) at its first bad
+    line.  A file that is not a normalized 3-cocycle raises CocycleError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(i, ln.split()) for i, ln in enumerate(fh, 1) if ln.strip()]
-    if not lines or lines[0][1][0] != "order" or len(lines[0][1]) != 2:
-        raise SpecError("cocycle file must start with 'order M'")
-    word = lines[0][1][1]
-    m = spec_int(word, f"cocycle file header 'order M': expected an integer, got {word!r}")
-    if m < 1:
-        raise SpecError("value order must be positive")
     table: dict[tuple[int, int, int], int] = {}
-    for i, parts in lines[1:]:
-        if len(parts) != 4:
-            raise SpecError(f"cocycle file line {i}: expected 'g h k e', got {' '.join(parts)!r}")
-        g, h, k, e = (
-            spec_int(t, f"cocycle file line {i}, field {f}: expected an integer, got {t!r}")
-            for t, f in zip(parts, "ghke")
-        )
-        for v in (g, h, k):
-            if not 0 <= v < group.order:
-                raise SpecError(f"cocycle file line {i}: element index {v} out of range")
-        if (g, h, k) in table:
-            raise SpecError(f"cocycle file line {i}: triple {(g, h, k)} is given twice")
-        table[(g, h, k)] = e % m
+    with records(path) as recs:
+        _, head = next(recs, (0, []))
+        if len(head) != 2 or head[0] != "order":
+            raise SpecError("cocycle file must start with 'order M'")
+        m = spec_int(head[1], f"cocycle file header 'order M': expected an integer, got {head[1]!r}")
+        if m < 1:
+            raise SpecError("value order must be positive")
+        for i, parts in recs:
+            if len(parts) != 4:
+                got = " ".join(parts)
+                raise SpecError(f"cocycle file line {i}: expected 'g h k e', got {got!r}")
+            g, h, k, e = (
+                spec_int(t, f"cocycle file line {i}, field {f}: expected an integer, got {t!r}")
+                for t, f in zip(parts, "ghke")
+            )
+            for v in (g, h, k):
+                if not 0 <= v < group.order:
+                    raise SpecError(f"cocycle file line {i}: element index {v} out of range")
+            if (g, h, k) in table:
+                raise SpecError(f"cocycle file line {i}: triple {(g, h, k)} is given twice")
+            table[(g, h, k)] = e % m
 
-    cocycle = ThreeCocycle(
-        group, m, lambda g, h, k: table.get((g, h, k), 0), label="file"
-    )
+    cocycle = ThreeCocycle(group, m, lambda g, h, k: table.get((g, h, k), 0), label="file")
     report = verify_cocycle(cocycle)
     if not report.ok:
         raise CocycleError(str(report))

@@ -424,10 +424,8 @@ def sqrt_int(n: int) -> CyclotomicInteger:
 def _sqrt_prime(p: int) -> CyclotomicInteger:
     if p == 2:
         return root(8, 1) + root(8, 7)
-    s = gauss_sum_direct(1, p)  # = sqrt(p) or i*sqrt(p)
-    if p % 4 == 1:
-        return s
-    return (-I_UNIT) * s
+    s = CyclotomicInteger(p, {i: jacobi_symbol(i, p) for i in range(1, p)})  # sqrt(p) or i*sqrt(p)
+    return s if p % 4 == 1 else (-I_UNIT) * s
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 from .cocycles import ThreeCocycle
@@ -29,7 +30,9 @@ from .groups import (
     make_cyclic,
     make_dihedral,
     parse_group_spec,
+    records,
     spec_int,
+    trivial_actions,
 )
 from .indicators import (
     check_h2n2,
@@ -280,44 +283,37 @@ def pair_from_file(path):
         ...rows...
         act_right           (optional; |G| rows of |F| entries in G: g <| x)
         ...rows...
-    Omitted action sections default to the trivial action.
+    Omitted action sections default to the trivial action.  The file is read a
+    line at a time, a section as the next |G| non-blank lines, and |F|*|G| is
+    checked against the order cap as soon as both groups are declared.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.split() for ln in fh if ln.strip()]
-    groups = {}
-    tables = {}
-    i = 0
-    while i < len(lines):
-        head = lines[i]
-        i += 1
-        if head[0] in groups or head[0] in tables:
-            raise SpecError(f"pair file declares {head[0]} twice")
-        if head[0] in ("F", "G") and len(head) == 2:
-            groups[head[0]] = parse_group_spec(head[1])
-        elif head[0] in ("act_left", "act_right") and len(head) == 1:
-            if len(groups) < 2:
-                raise SpecError("group specs must precede action tables")
-            n_rows = groups["G"].order
-            rows = lines[i:i + n_rows]
-            if len(rows) < n_rows:
-                raise SpecError(f"{head[0]} has {len(rows)} rows, expected |G| = {n_rows}")
-            tables[head[0]] = [
-                [spec_int(t, f"{head[0]} row {r}, column {c}: expected an integer, got {t!r}")
-                 for c, t in enumerate(row)]
-                for r, row in enumerate(rows)
-            ]
-            i += n_rows
-        else:
-            raise SpecError(f"unexpected line in pair file: {' '.join(head)!r}")
+    groups, tables = {}, {}
+    with records(path) as recs:
+        for _, head in recs:
+            if head[0] in groups or head[0] in tables:
+                raise SpecError(f"pair file declares {head[0]} twice")
+            if head[0] in ("F", "G") and len(head) == 2:
+                groups[head[0]] = parse_group_spec(head[1])
+                if len(groups) == 2:  # the cap, then the default actions
+                    defaults = trivial_actions(groups["F"].order, groups["G"].order)
+            elif head[0] in ("act_left", "act_right") and len(head) == 1:
+                if len(groups) < 2:
+                    raise SpecError("group specs must precede action tables")
+                rows = list(islice(recs, n_rows := groups["G"].order))
+                if len(rows) < n_rows:
+                    raise SpecError(f"{head[0]} has {len(rows)} rows, expected |G| = {n_rows}")
+                tables[head[0]] = [
+                    [spec_int(t, f"{head[0]} row {r}, column {c}: expected an integer, got {t!r}")
+                     for c, t in enumerate(row)]
+                    for r, (_, row) in enumerate(rows)
+                ]
+            else:
+                raise SpecError(f"unexpected line in pair file: {' '.join(head)!r}")
     if len(groups) < 2:
         raise SpecError("pair file must declare both F and G")
-    nf, ng = groups["F"].order, groups["G"].order
-    return MatchedPair(
-        groups["F"],
-        groups["G"],
-        tables.get("act_right") or [[g] * nf for g in range(ng)],
-        tables.get("act_left") or [range(nf)] * ng,
-    )
+    right, left = defaults
+    return MatchedPair(groups["F"], groups["G"], tables.get("act_right", right),
+                       tables.get("act_left", left))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ factors).  Only table files and callers' tables get the exact axiom check.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import getitem, itemgetter
 
 # The largest order tabulated: n^2 entries cost about 8 bytes each, so a
@@ -323,9 +324,14 @@ class MatchedPair:
             law("g|>(yx) = (g|>y)((g<|y)|>x)", "(x, g, y)", x, lyx, got)
 
 
+def trivial_actions(nf, ng):
+    """The trivial (act_right, act_left) for |F| = nf, |G| = ng, built past the order cap."""
+    check_order(nf * ng)
+    return [[g] * nf for g in range(ng)], [range(nf)] * ng
+
+
 def trivial_pair(f_group, g_group):
-    nf, ng = f_group.order, g_group.order
-    return MatchedPair(f_group, g_group, [[g] * nf for g in range(ng)], [range(nf)] * ng)
+    return MatchedPair(f_group, g_group, *trivial_actions(f_group.order, g_group.order))
 
 
 class BicrossedGroup(FiniteGroup):
@@ -413,34 +419,38 @@ def spec_int(token, message):
         raise SpecError(message) from None
 
 
-def group_from_table_file(path):
-    """Load a group from a text table: `order N` then N rows of N indices."""
+@contextmanager
+def records(path):
+    """For one `with` block, the (line number, tokens) of each non-blank line of
+    `path`, read a line at a time; the file is closed as the block ends, error or not."""
     with open(path, "r", encoding="utf-8") as fh:
-        # read the header whole, doubling each read, and the body after the cap check
-        head = ""
-        while len(tokens := head.split(None, 2)) < 3 and (chunk := fh.read(max(4096, len(head)))):
-            head += chunk
-        if len(tokens) < 2 or tokens[0] != "order":
-            raise SpecError("table file must start with 'order N'")
-        word = tokens[1]
-        n = spec_int(word, f"table file header 'order N': expected an integer, got {word!r}")
-        check_order(n)
-        body = ("".join(tokens[2:]) + fh.read()).split()
-    if len(body) != n * n:
-        raise SpecError(f"expected {n * n} table entries, found {len(body)}")
+        yield ((i, tokens) for i, line in enumerate(fh, 1) if (tokens := line.split()))
 
-    def rows():
-        pool = list(range(n))
+
+def group_from_table_file(path):
+    """Load a group from a text table: `order N`, then the N*N indices in row
+    order, in any whitespace layout.  The header is checked, against the order
+    cap too, before the body is read, and each row as it is read."""
+    with records(path) as recs:
+        tokens = chain.from_iterable(t for _, t in recs)
+        head = list(islice(tokens, 2))
+        if len(head) < 2 or head[0] != "order":
+            raise SpecError("table file must start with 'order N'")
+        n = spec_int(head[1], f"table file header 'order N': expected an integer, got {head[1]!r}")
+        check_order(n)
+        pool, rows = list(range(n)), []
         for i in range(n):
-            row = body[i * n:(i + 1) * n]
+            if len(row := list(tuple(islice(tokens, n)))) < n:  # via a tuple: exact size
+                raise SpecError(f"expected {n * n} table entries, found {i * n + len(row)}")
             for j, token in enumerate(row):
                 v = spec_int(token, f"table row {i}, column {j}: expected an integer, got {token!r}")
                 if not 0 <= v < n:
                     raise SpecError(f"table row {i}, column {j}: entry {v} out of range 0..{n - 1}")
                 row[j] = pool[v]
-            yield row
-
-    return FiniteGroup(n, rows(), label="table", check=True)
+            rows.append(row)
+        if (found := len(rows) * n + sum(1 for _ in tokens)) != n * n:
+            raise SpecError(f"expected {n * n} table entries, found {found}")
+    return FiniteGroup(n, rows, label="table", check=True)
 
 
 def parse_group_spec(spec):

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import os
 import random
+import tracemalloc
 from itertools import product, repeat
 from operator import itemgetter
 
@@ -33,6 +34,7 @@ from fsind.cocycles import (
 )
 from fsind.groups import (
     FiniteGroup,
+    SpecError,
     group_from_table_file,
     make_cyclic,
     make_dihedral,
@@ -710,6 +712,18 @@ class TestFilesAndSpecs:
         path.write_text("order 4\n1 1 1 1\n")
         with pytest.raises(ValueError):
             cocycle_from_file(make_cyclic(3), path)
+
+    def test_a_malformed_header_is_refused_before_the_lines_after_it(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("order x\n" + "0 0 0 0\n" * 1_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecError, match="header 'order M': expected an integer, got 'x'"):
+                cocycle_from_file(make_cyclic(3), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
     def test_file_rejects_one_altered_value_on_z100(self, tmp_path):
         # the former sampled check, above order 40, accepted this file

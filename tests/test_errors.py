@@ -3,11 +3,12 @@ exception and message, in one table."""
 
 from __future__ import annotations
 
+import builtins
 import re
 
 import pytest
 
-from fsind.cocycles import psi, verify_cocycle
+from fsind.cocycles import cocycle_from_file, psi, verify_cocycle
 from fsind.cyclotomic import (
     ONE,
     CyclotomicInteger,
@@ -18,8 +19,15 @@ from fsind.cyclotomic import (
     jacobi_symbol,
     root,
 )
-from fsind.extensions import family_suzuki_cyclic, h2n2_pair, power_iteration
-from fsind.groups import FiniteGroup, SpecError, make_cyclic, make_dihedral, parse_group_spec
+from fsind.extensions import family_suzuki_cyclic, h2n2_pair, pair_from_file, power_iteration
+from fsind.groups import (
+    FiniteGroup,
+    SpecError,
+    group_from_table_file,
+    make_cyclic,
+    make_dihedral,
+    parse_group_spec,
+)
 from fsind.indicators import (
     nu2_tambara_yamagami,
     nu_h2n2_closed,
@@ -77,3 +85,27 @@ def test_a_value_is_not_equal_to_a_string():
 
 def test_a_passed_cocycle_check_reports_its_cases():
     assert str(verify_cocycle(psi(3, 1))) == "cocycle check passed (27 cases)"
+
+
+@pytest.mark.parametrize("load, body, message", [
+    (group_from_table_file, "order 3\n0 1 2\n1 x 0\n2 0 1\n",
+     "table row 1, column 1: expected an integer, got 'x'"),
+    (lambda path: cocycle_from_file(make_cyclic(3), path), "order 3\n0 0 0\n1 1 1 1\n",
+     "cocycle file line 2: expected 'g h k e', got '0 0 0'"),
+    (pair_from_file, "F cyclic:2\nH cyclic:3\nG cyclic:3\n",
+     "unexpected line in pair file: 'H cyclic:3'"),
+], ids=["table", "cocycle", "pair"])
+def test_a_file_refused_mid_file_is_closed(load, body, message, tmp_path, monkeypatch):
+    # checked while `refused` holds the traceback, and with it the reader's frame
+    path = tmp_path / "input.txt"
+    path.write_text(body)
+    opened, real_open = [], builtins.open
+
+    def recording_open(*args, **kwargs):
+        opened.append(fh := real_open(*args, **kwargs))
+        return fh
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    with pytest.raises(SpecError, match=re.escape(message)) as refused:
+        load(path)
+    assert len(opened) == 1 and opened[0].closed

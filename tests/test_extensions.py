@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import tracemalloc
 from itertools import permutations, product
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from fsind.groups import (
     BicrossedGroup,
     FiniteGroup,
     MatchedPair,
+    SpecError,
     bicrossed_rows,
     direct_product,
     group_from_table_file,
@@ -503,6 +505,18 @@ class TestBismashAndFiles:
             for p in range(grp_a.order)
             for q in range(grp_a.order)
         )
+
+    def test_pair_file_over_the_cap_is_refused_before_its_default_actions(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("F cyclic:4096\nG cyclic:4096\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecError, match="group order 16777216 exceeds the limit of 4096"):
+                pair_from_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
     def test_pair_file_rejects_missing_groups(self, tmp_path):
         path = tmp_path / "bad.txt"

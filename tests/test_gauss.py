@@ -117,6 +117,22 @@ class TestGaussSums:
             gauss_sum_closed(a, m)
         assert reductions == []
 
+    def test_closed_forms_read_no_direct_sum(self, monkeypatch):
+        # sqrt(p) is the Legendre sum, so neither the closed forms nor sqrt_int
+        # read the oracle they are checked against
+        cases = [(a, m) for m in range(1, 61) for a in range(m)]
+        primes = [p for p in range(2, 200) if cyclotomic.factorize(p) == {p: 1}]
+        want = [gauss_sum_direct(a, m) for a, m in cases], [sqrt_int(p) for p in primes]
+
+        def no_direct_sum(a, m):
+            raise AssertionError(f"gauss_sum_direct({a}, {m}) was called")
+
+        monkeypatch.setattr(cyclotomic, "gauss_sum_direct", no_direct_sum)
+        for cached in (sqrt_int, cyclotomic._sqrt_prime, cyclotomic._gauss_unit):
+            cached.cache_clear()
+        got = [gauss_sum_closed(a, m) for a, m in cases], [sqrt_int(p) for p in primes]
+        assert got == want
+
     def test_zero_cases(self):
         # a odd, m = 2 mod 4 with gcd stripped gives 0
         assert gauss_sum_closed(1, 2).is_zero()

@@ -261,6 +261,17 @@ class TestConstructors:
             with pytest.raises(SpecError, match=f"group order {order} exceeds the limit"):
                 parse_family_spec(spec)
 
+    def test_product_over_the_cap_is_refused_before_its_actions_are_built(self):
+        # the trivial actions of Z_4096 x Z_4096 would be 16.8 million entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecError, match="group order 16777216 exceeds the limit of 4096"):
+                parse_group_spec("product:cyclic:4096,cyclic:4096")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
+
     def test_pair_over_the_cap_is_refused_before_its_factors_are_tabulated(self):
         f_group, g_group = make_cyclic(4096), make_cyclic(2)
         with pytest.raises(SpecError, match="group order 8192 exceeds the limit"):
@@ -473,6 +484,31 @@ class TestTableFiles:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000, peak
+
+    def test_rows_may_run_across_lines(self, tmp_path):
+        # the body is the N*N indices in row order, however they are laid out
+        path = tmp_path / "z2.txt"
+        path.write_text("order 2\n0 1 1\n0\n")
+        loaded = group_from_table_file(path)
+        assert [[loaded.mul(g, h) for h in range(2)] for g in range(2)] == [[0, 1], [1, 0]]
+
+    def test_order_1024_loads_near_the_size_it_holds(self, tmp_path):
+        path = tmp_path / "z1024.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("order 1024\n")
+            fh.writelines(" ".join(str((g + h) % 1024) for h in range(1024)) + "\n"
+                          for g in range(1024))
+        tracemalloc.start()
+        try:
+            grp = group_from_table_file(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grp.mul(1000, 100) == 76
+        # 1,024 rows of exactly 1,024 slots take 8.45 MB; the file's tokens
+        # are read a line at a time beside them
+        assert held <= 8_500_000, held
+        assert peak <= 1.5 * held, (peak, held)
 
 
 class TestSpecParsing:

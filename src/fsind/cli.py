@@ -54,13 +54,13 @@ def parse_n_list(text, group_order=None):
             values = divisors(group_order)
         elif ".." in item:
             lo, _, hi = item.partition("..")
-            lo_i, hi_i = (spec_int(end, f"bad range {item!r}") for end in (lo, hi))
+            lo_i, hi_i = (spec_int(end, "bad range {!r}", item) for end in (lo, hi))
             if lo_i > hi_i or lo_i < 1:
                 raise SpecError(f"bad range {item!r}")
             # cut one past the cap, so a longer range is refused below
             values = range(lo_i, min(hi_i, lo_i + MAX_N_VALUES) + 1)
         else:
-            values = [spec_int(item, f"bad n value {item!r}")]
+            values = [spec_int(item, "bad n value {!r}", item)]
         if len(out) + len(values) > MAX_N_VALUES:
             raise SpecError(f"an n list may hold at most {MAX_N_VALUES} values")
         out.extend(values)

@@ -392,7 +392,7 @@ def cocycle_from_file(group, path):
         _, head = next(recs, (0, []))
         if len(head) != 2 or head[0] != "order":
             raise SpecError("cocycle file must start with 'order M'")
-        m = spec_int(head[1], f"cocycle file header 'order M': expected an integer, got {head[1]!r}")
+        m = spec_int(head[1], "cocycle file header 'order M': expected an integer, got {!r}", head[1])
         if m < 1:
             raise SpecError("value order must be positive")
         for i, parts in recs:
@@ -400,7 +400,7 @@ def cocycle_from_file(group, path):
                 got = " ".join(parts)
                 raise SpecError(f"cocycle file line {i}: expected 'g h k e', got {got!r}")
             g, h, k, e = (
-                spec_int(t, f"cocycle file line {i}, field {f}: expected an integer, got {t!r}")
+                spec_int(t, "cocycle file line {}, field {}: expected an integer, got {!r}", i, f, t)
                 for t, f in zip(parts, "ghke")
             )
             for v in (g, h, k):
@@ -424,7 +424,7 @@ def parse_cocycle_spec(spec, group):
         return trivial_cocycle(group)
     kind, _, rest = spec.partition(":")
     if kind == "psi":
-        r = spec_int(rest, f"psi expects an integer power r, got {spec!r}")
+        r = spec_int(rest, "psi expects an integer power r, got {!r}", spec)
         return psi_on(group, r)
     if kind == "file":
         return cocycle_from_file(group, rest)

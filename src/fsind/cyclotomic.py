@@ -16,11 +16,11 @@ values have equal conductors and equal coefficients.
 The constructor takes any integer exponents, summing those equal mod M.  It
 divides M and them by their gcd g first (zeta_M^x = zeta_{M/g}^{x/g}) and
 canonicalizes once at M/g, then `_shrink_conductor` catches what cancellation
-lowers further.  Each ring operation canonicalizes once at the conductor it
-works at, plus once at the minimal conductor when that is smaller; a product
-with a rational c (negation is c = -1) not at all: c != 0 keeps the support,
-and c*x in Z[zeta_d] puts x in Q(zeta_d) & Z[zeta_M] = Z[zeta_d], so the
-conductor stays.
+lowers further.  Sums and products hand it their unreduced terms, so each
+canonicalizes once, plus once at the minimal conductor when that is smaller; a
+product with a rational c (negation is c = -1) not at all: c != 0 keeps the
+support, and c*x in Z[zeta_d] puts x in Q(zeta_d) & Z[zeta_M] = Z[zeta_d], so
+the conductor stays.
 
 The power basis 1, zeta, ..., zeta^{phi(M)-1} (remainder modulo the M-th
 cyclotomic polynomial) is used for serialization and text rendering.
@@ -144,19 +144,16 @@ class CyclotomicInteger:
 
     __slots__ = ("conductor", "_coeffs")
 
-    def __init__(self, conductor: int, coeffs: dict[int, int], *, _reduced: bool = False):
+    def __init__(self, conductor: int, coeffs: dict[int, int]):
         if conductor < 1:
             raise ValueError("conductor must be positive")
-        if not _reduced:
-            g = math.gcd(conductor, *coeffs)
-            conductor //= g
-            summed: dict[int, int] = {}
-            for x, c in coeffs.items():
-                y = x // g % conductor
-                summed[y] = summed.get(y, 0) + c
-            coeffs = _canonicalize(conductor, summed)
-        self.conductor = conductor
-        self._coeffs = coeffs
+        g = math.gcd(conductor, *coeffs)
+        self.conductor = m = conductor // g
+        summed: dict[int, int] = {}
+        for x, c in coeffs.items():
+            y = x // g % m
+            summed[y] = summed.get(y, 0) + c
+        self._coeffs = _canonicalize(m, summed)
         self._shrink_conductor()
 
     # -- construction -------------------------------------------------------
@@ -207,7 +204,7 @@ class CyclotomicInteger:
         a = self._embed(m)
         for x, c in other._embed(m).items():
             a[x] = a.get(x, 0) + c
-        return CyclotomicInteger(m, _canonicalize(m, a), _reduced=True)
+        return CyclotomicInteger(m, a)
 
     __radd__ = __add__
 
@@ -232,9 +229,8 @@ class CyclotomicInteger:
         out: dict[int, int] = {}
         for x1, c1 in a.items():
             for x2, c2 in b.items():
-                x = (x1 + x2) % m
-                out[x] = out.get(x, 0) + c1 * c2
-        return CyclotomicInteger(m, _canonicalize(m, out), _reduced=True)
+                out[x1 + x2] = out.get(x1 + x2, 0) + c1 * c2
+        return CyclotomicInteger(m, out)
 
     __rmul__ = __mul__
 

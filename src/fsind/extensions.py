@@ -32,7 +32,6 @@ from .groups import (
     parse_group_spec,
     records,
     spec_int,
-    trivial_actions,
 )
 from .indicators import (
     check_h2n2,
@@ -129,7 +128,7 @@ def h2n2_pair(n):
     check_order(2 * n * n)
     g_group = direct_product(make_cyclic(n), make_cyclic(n))
     swap = [[i * n + j, j * n + i] for i in range(n) for j in range(n)]
-    return MatchedPair(make_cyclic(2), g_group, swap, [range(2)] * (n * n))
+    return MatchedPair(make_cyclic(2), g_group, swap)
 
 
 def family_h2n2(n, xi_exp):
@@ -161,7 +160,7 @@ def hn3_pair(n):
     check_order(n ** 3)
     g_group = direct_product(make_cyclic(n), make_cyclic(n))
     shear = [[(i + a * j) % n * n + j for a in range(n)] for i in range(n) for j in range(n)]
-    return MatchedPair(make_cyclic(n), g_group, shear, [range(n)] * (n * n))
+    return MatchedPair(make_cyclic(n), g_group, shear)
 
 
 def family_hn3(n, xi_exp, zeta_exp, lambda_exp=None):
@@ -209,7 +208,7 @@ def suzuki_pair(g_group, l):
     two_l, ng = 2 * l, g_group.order
     flip = [_dihedral_bar(x, l) for x in range(two_l)]
     left = [flip if g % 2 else range(two_l) for g in range(ng)]
-    return MatchedPair(make_dihedral(two_l), g_group, [[g] * two_l for g in range(ng)], left)
+    return MatchedPair(make_dihedral(two_l), g_group, act_left=left)
 
 
 def _suzuki_data(g_group, l, chi, beta, eta_exp, label):
@@ -294,8 +293,8 @@ def pair_from_file(path):
                 raise SpecError(f"pair file declares {head[0]} twice")
             if head[0] in ("F", "G") and len(head) == 2:
                 groups[head[0]] = parse_group_spec(head[1])
-                if len(groups) == 2:  # the cap, then the default actions
-                    defaults = trivial_actions(groups["F"].order, groups["G"].order)
+                if len(groups) == 2:  # the cap, before any action section is read
+                    check_order(groups["F"].order * groups["G"].order)
             elif head[0] in ("act_left", "act_right") and len(head) == 1:
                 if len(groups) < 2:
                     raise SpecError("group specs must precede action tables")
@@ -303,7 +302,7 @@ def pair_from_file(path):
                 if len(rows) < n_rows:
                     raise SpecError(f"{head[0]} has {len(rows)} rows, expected |G| = {n_rows}")
                 tables[head[0]] = [
-                    [spec_int(t, f"{head[0]} row {r}, column {c}: expected an integer, got {t!r}")
+                    [spec_int(t, "{} row {}, column {}: expected an integer, got {!r}", head[0], r, c, t)
                      for c, t in enumerate(row)]
                     for r, (_, row) in enumerate(rows)
                 ]
@@ -311,9 +310,7 @@ def pair_from_file(path):
                 raise SpecError(f"unexpected line in pair file: {' '.join(head)!r}")
     if len(groups) < 2:
         raise SpecError("pair file must declare both F and G")
-    right, left = defaults
-    return MatchedPair(groups["F"], groups["G"], tables.get("act_right", right),
-                       tables.get("act_left", left))
+    return MatchedPair(groups["F"], groups["G"], tables.get("act_right"), tables.get("act_left"))
 
 
 # ---------------------------------------------------------------------------

@@ -271,23 +271,28 @@ def bicrossed_rows(f_group, g_group, left, right):
 @dataclass
 class MatchedPair:
     """Groups F, G with their action tables, each |G| rows of |F| entries:
-    act_left[g][y] = g |> y in F and act_right[g][y] = g <| y in G.
+    act_left[g][y] = g |> y in F and act_right[g][y] = g <| y in G.  An
+    omitted action is the trivial one, which the pair builds after its cap.
 
     Construction is the one check of the pair: the order cap (before any
-    factor is tabulated), shape, every value in range (none wraps round as a
-    list index), the identity row and column, and the four laws that make
-    F |><| G a group (Majid 1995, 6.2), each read only at generators of G or
-    F, which suffices by induction on word length.
+    factor is tabulated or default table built), shape, every value in range
+    (none wraps round as a list index), the identity row and column, and the
+    four laws that make F |><| G a group (Majid 1995, 6.2), each read only at
+    generators of G or F, which suffices by induction on word length.
     """
 
     F: FiniteGroup
     G: FiniteGroup
-    act_right: list  # act_right[g][y] = g <| y in G
-    act_left: list  # act_left[g][y] = g |> y in F
+    act_right: list = None  # act_right[g][y] = g <| y in G
+    act_left: list = None  # act_left[g][y] = g |> y in F
 
     def __post_init__(self):
         nf, ng = self.F.order, self.G.order
         check_order(nf * ng)
+        if self.act_right is None:
+            self.act_right = [[g] * nf for g in range(ng)]
+        if self.act_left is None:
+            self.act_left = [range(nf)] * ng
         left, right, fm, gm = self.act_left, self.act_right, self.F._table, self.G._table
         flats = []  # each table read once, flat over (g, y) at g*|F| + y
         for table, act, bound in ((left, "g |> y", nf), (right, "g <| y", ng)):
@@ -324,14 +329,8 @@ class MatchedPair:
             law("g|>(yx) = (g|>y)((g<|y)|>x)", "(x, g, y)", x, lyx, got)
 
 
-def trivial_actions(nf, ng):
-    """The trivial (act_right, act_left) for |F| = nf, |G| = ng, built past the order cap."""
-    check_order(nf * ng)
-    return [[g] * nf for g in range(ng)], [range(nf)] * ng
-
-
 def trivial_pair(f_group, g_group):
-    return MatchedPair(f_group, g_group, *trivial_actions(f_group.order, g_group.order))
+    return MatchedPair(f_group, g_group)
 
 
 class BicrossedGroup(FiniteGroup):
@@ -398,8 +397,7 @@ def make_dihedral(two_l):
     check_order(two_l)
     half = two_l // 2
     left = [list(range(half)), [-y % half for y in range(half)]]
-    right = [[0] * half, [1] * half]
-    return BicrossedGroup(MatchedPair(make_cyclic(half), make_cyclic(2), right, left), f"D{two_l}")
+    return BicrossedGroup(MatchedPair(make_cyclic(half), make_cyclic(2), act_left=left), f"D{two_l}")
 
 
 def direct_product(a, b):
@@ -411,12 +409,12 @@ def direct_product(a, b):
 # table files and spec strings
 
 
-def spec_int(token, message):
-    """`token` read as an integer, or a SpecError with the given message."""
+def spec_int(token, message, *args):
+    """`token` read as an integer, or a SpecError of message.format(*args), formatted only then."""
     try:
         return int(token)
     except ValueError:
-        raise SpecError(message) from None
+        raise SpecError(message.format(*args)) from None
 
 
 @contextmanager
@@ -436,14 +434,14 @@ def group_from_table_file(path):
         head = list(islice(tokens, 2))
         if len(head) < 2 or head[0] != "order":
             raise SpecError("table file must start with 'order N'")
-        n = spec_int(head[1], f"table file header 'order N': expected an integer, got {head[1]!r}")
+        n = spec_int(head[1], "table file header 'order N': expected an integer, got {!r}", head[1])
         check_order(n)
         pool, rows = list(range(n)), []
         for i in range(n):
             if len(row := list(tuple(islice(tokens, n)))) < n:  # via a tuple: exact size
                 raise SpecError(f"expected {n * n} table entries, found {i * n + len(row)}")
             for j, token in enumerate(row):
-                v = spec_int(token, f"table row {i}, column {j}: expected an integer, got {token!r}")
+                v = spec_int(token, "table row {}, column {}: expected an integer, got {!r}", i, j, token)
                 if not 0 <= v < n:
                     raise SpecError(f"table row {i}, column {j}: entry {v} out of range 0..{n - 1}")
                 row[j] = pool[v]
@@ -468,7 +466,7 @@ def parse_group_spec(spec):
         factors.append(parse_group_spec(left))
         kind, _, rest = spec.partition(":")
     if kind in ("cyclic", "dihedral"):
-        order = spec_int(rest, f"{kind} expects an integer order, got {spec!r}")
+        order = spec_int(rest, "{} expects an integer order, got {!r}", kind, spec)
         grp = make_cyclic(order) if kind == "cyclic" else make_dihedral(order)
     elif kind == "table":
         grp = group_from_table_file(rest)

@@ -58,6 +58,43 @@ class TestMatchedPairs:
         grp = BicrossedGroup(pair)
         assert grp.order == 12 and grp.exponent() == 12
 
+    @pytest.mark.parametrize(
+        "f_group, g_group, right, left",
+        [
+            (make_cyclic(2), make_cyclic(3), [[g, -g % 3] for g in range(3)], None),  # S_3
+            # D_8 with the flip r^i s^j -> r^(-i-j) s^j
+            (make_dihedral(8), make_cyclic(2), None, [list(range(8)), [0, 7, 6, 5, 4, 3, 2, 1]]),
+            (make_cyclic(2), direct_product(make_cyclic(3), make_cyclic(3)),
+             [[i * 3 + j, j * 3 + i] for i in range(3) for j in range(3)], None),  # h2n2's swap
+        ],
+    )
+    def test_omitted_actions_are_trivial(self, f_group, g_group, right, left):
+        nf, ng = f_group.order, g_group.order
+        trivial_right, trivial_left = [[g] * nf for g in range(ng)], [list(range(nf))] * ng
+        right, left = right or trivial_right, left or trivial_left
+        for pair, want_right, want_left in (
+            (MatchedPair(f_group, g_group), trivial_right, trivial_left),
+            (MatchedPair(f_group, g_group, right), right, trivial_left),
+            (MatchedPair(f_group, g_group, act_left=left), trivial_right, left),
+        ):
+            assert [list(row) for row in pair.act_right] == want_right
+            assert [list(row) for row in pair.act_left] == want_left
+
+    def test_builders_hold_the_tables_they_held_before(self):
+        # the trivial action each builder leaves out is the one it built itself
+        n = 3
+        swap = [[i * n + j, j * n + i] for i in range(n) for j in range(n)]
+        shear = [[(i + a * j) % n * n + j for a in range(n)] for i in range(n) for j in range(n)]
+        flip = ([[0] * 4, [1] * 4], [[0, 1, 2, 3], [0, 3, 2, 1]])  # Z_2 acting on Z_4 or D_4
+        for pair, right, left in (
+            (h2n2_pair(n), swap, [[0, 1]] * 9),
+            (hn3_pair(n), shear, [[0, 1, 2]] * 9),
+            (family_suzuki_cyclic(1, 2, -1, 1).pair, *flip),
+            (make_dihedral(8).pair, *flip),
+        ):
+            assert [list(row) for row in pair.act_right] == right
+            assert [list(row) for row in pair.act_left] == left
+
     def test_identity_axioms_enforced(self):
         # 1 <| y = 1 and g |> 1 = 1 are the laws at h = 1 and at y = 1
         for right, left, message in (

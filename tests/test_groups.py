@@ -24,6 +24,7 @@ from fsind.groups import (
     make_cyclic,
     make_dihedral,
     parse_group_spec,
+    spec_int,
     trivial_pair,
 )
 from fsind.extensions import FAMILIES, parse_family_spec
@@ -278,6 +279,19 @@ class TestConstructors:
             MatchedPair(f_group, g_group, [[0] * 4096, [1] * 4096], [range(4096)] * 2)
         assert f_group._source is not None and g_group._source is not None
 
+    def test_pair_over_the_cap_builds_no_default_action(self):
+        # the default tables of Z_4096 x Z_4096 would be 2 x 16.8 million entries
+        f_group, g_group = make_cyclic(4096), make_cyclic(4096)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecError, match="group order 16777216 exceeds the limit of 4096"):
+                MatchedPair(f_group, g_group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
+        assert f_group._source is not None and g_group._source is not None
+
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(GROUP_TABLES).flatmap(_altered))
     def test_axiom_check_matches_cubic_oracle(self, rows):
@@ -525,6 +539,12 @@ class TestSpecParsing:
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             parse_group_spec("simple:60")
+
+    def test_spec_int_formats_its_message_only_on_failure(self):
+        assert spec_int("7", "row {}, column {}", 3, 4) == 7
+        assert spec_int("7", "{} {}") == 7  # unformatted: too few arguments is no error
+        with pytest.raises(SpecError, match=r"^row 3, column 4: got 'x'$"):
+            spec_int("x", "row {}, column {}: got {!r}", 3, 4, "x")
 
 
 def test_only_the_groups_module_reads_a_groups_rows():

@@ -39,7 +39,7 @@ class ThreeCocycle:
     b = 1 claims nothing of either argument.
 
     `is_cocycle` claims that exp_fn is a normalized 3-cocycle, and lets
-    order_profile walk one element per cyclic subgroup.  It is set by the
+    order_profile walk one element of each cyclic subgroup at most.  It is set by the
     builders that produce cocycles by construction or verify them, and passed
     on by restrict, conjugate_cocycle and product_cocycle; anything else
     leaves it False and gets the per-element pass, which is right for any
@@ -68,15 +68,15 @@ class ThreeCocycle:
 
         Without is_cocycle this walks every element: right for any exponent
         function, normalized or not, at sum_g ord g calls to exp_fn.  With
-        it, u_g = 0, and E_{g^j} = j^2 * E_g for j prime to o = ord g: on
-        <g> = Z_o the class of omega is a power of the generator c^2 of
-        H^3(Z_o, C^x) = Z_o, and g -> g^j sends c to j*c (K. S. Brown,
-        Cohomology of Groups, GTM 87).  So one walk per cyclic subgroup
-        fills in all its generators, at sum_C |C| calls.
+        it, u_g = 0, and the walk of g fills in every power g^j not yet seen.
+        On <g> = Z_o the class of omega is that of psi_o^c for some c, whose
+        restriction to <g^d> is psi_{o/d}^c, as psi_o(dj, dk, dl) =
+        psi_{o/d}(j, k, l): so E_{g^d} = d * E_g for d | o.  And g -> g^j
+        sends E_g to j^2 * E_g for j prime to o (K. S. Brown, Cohomology of
+        Groups, GTM 87).  So g^j, with d = gcd(j, o), has order o/d and
+        E = j * (j/d) * E_g, and a walk makes o - 1 calls to exp_fn.
         """
-        grp = self.group
-        m = self.value_order
-        f = self.exp_fn
+        grp, m, f = self.group, self.value_order, self.exp_fn
         profile: dict[tuple[int, int, int], int] = {}
         seen = bytearray(grp.order)
         for g in range(grp.order):
@@ -91,9 +91,9 @@ class ThreeCocycle:
                 profile[key] = profile.get(key, 0) + 1
                 continue
             for j, x in enumerate(powers):
-                if math.gcd(j, o) == 1:  # g^j generates <g>; j = 0 when o = 1
+                if not seen[x]:  # g^j generates <g^d>, of order o/d
                     seen[x] = 1
-                    key = (o, j * j * acc % m, 0)
+                    key = (o // (d := math.gcd(j, o)), j * (j // d) * acc % m, 0)
                     profile[key] = profile.get(key, 0) + 1
         return profile
 
@@ -389,14 +389,14 @@ def cocycle_from_file(group, path):
     """
     table: dict[tuple[int, int, int], int] = {}
     with records(path) as recs:
-        _, head = next(recs, (0, []))
+        head = list(next(recs, (0, ()))[1])
         if len(head) != 2 or head[0] != "order":
             raise SpecError("cocycle file must start with 'order M'")
         m = spec_int(head[1], "cocycle file header 'order M': expected an integer, got {!r}", head[1])
         if m < 1:
             raise SpecError("value order must be positive")
         for i, parts in recs:
-            if len(parts) != 4:
+            if len(parts := list(parts)) != 4:
                 got = " ".join(parts)
                 raise SpecError(f"cocycle file line {i}: expected 'g h k e', got {got!r}")
             g, h, k, e = (

@@ -288,7 +288,8 @@ def pair_from_file(path):
     """
     groups, tables = {}, {}
     with records(path) as recs:
-        for _, head in recs:
+        for _, tokens in recs:
+            head = list(tokens)
             if head[0] in groups or head[0] in tables:
                 raise SpecError(f"pair file declares {head[0]} twice")
             if head[0] in ("F", "G") and len(head) == 2:

@@ -1,15 +1,16 @@
 """Finite groups as multiplication tables on integer indices.
 
 Elements of a group of order n are the integers 0..n-1, with 0 always the
-identity.  A group is tabulated as n rows of n indices on first need of a
-product; the powers of an element, all an indicator, `power` or `inv` reads,
-need none (Z_n and every built-in bicrossed product walk them through their
-factors).  Only table files and callers' tables get the exact axiom check.
+identity.  A group is tabulated as n rows of n indices on first need of
+`mul`; Z_n and every bicrossed product give powers (all an indicator,
+`power` or `inv` reads), `product` and `row` through their factors, with no
+table.  Only table files and callers' tables get the exact axiom check.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -19,6 +20,7 @@ from operator import getitem, itemgetter
 # group of this order takes about 134 MB.  Every built-in grid, script and
 # benchmark stays far below it (800 at most).
 MAX_ORDER = 4096
+_TOKENS = re.compile(r"(?:\S+\s*){1,1024}")  # up to 1,024 tokens of a line, as one string
 
 
 class SpecError(ValueError):
@@ -72,6 +74,11 @@ class FiniteGroup:
             return self._rows[g][h]
         except AttributeError:  # not tabulated yet
             return self._table[g][h]
+
+    product = mul  # g*h; Z_n computes it, and a BicrossedGroup not yet tabulated from its factors
+
+    def row(self, g):  # [g*h for every h], likewise
+        return self._table[g]
 
     @property
     def identity(self):
@@ -142,7 +149,7 @@ class FiniteGroup:
 
     def powers(self, g):
         """[g^0, g^1, ..., g^(o-1)] with o = ord g, walked along row g."""
-        row, out, x = self._table[g], [0], g
+        row, out, x = self.row(g), [0], g
         while x:
             out.append(x)
             x = row[x]
@@ -200,13 +207,9 @@ class FiniteGroup:
 
     def generated_subgroup(self, generators):
         """Sorted element list of the subgroup generated by the given elements."""
-        closure = {0}
-        frontier = [0]
-        gens = list(generators)
+        closure, frontier, rows = {0}, [0], list(map(self.row, generators))
         while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.mul(x, g)
+            for y in map(itemgetter(frontier.pop()), rows):  # g*x for each generator g
                 if y not in closure:
                     closure.add(y)
                     frontier.append(y)
@@ -218,14 +221,11 @@ class FiniteGroup:
         if not elems or elems[0] != 0:
             raise ValueError("subgroup must contain the identity")
         pos = {g: i for i, g in enumerate(elems)}
-        table = self._table
-        rows = [[pos.get(table[g][h]) for h in elems] for g in elems]
+        rows = [list(map(pos.get, map(self.row(g).__getitem__, elems))) for g in elems]
         if any(None in row for row in rows):
             raise ValueError("element subset is not closed under multiplication")
-        sub = FiniteGroup(
-            len(elems), rows, label=label or f"{self.label}-sub{len(elems)}", check=False
-        )
-        return sub, elems
+        label = label or f"{self.label}-sub{len(elems)}"
+        return FiniteGroup(len(elems), rows, label, check=False), elems
 
     def __repr__(self):
         return f"FiniteGroup({self.label}, order={self.order})"
@@ -278,7 +278,9 @@ class MatchedPair:
     factor is tabulated or default table built), shape, every value in range
     (none wraps round as a list index), the identity row and column, and the
     four laws that make F |><| G a group (Majid 1995, 6.2), each read only at
-    generators of G or F, which suffices by induction on word length.
+    generators of G or F, which suffices by induction on word length: F's
+    table, G's rows at its generators s and each s <| y.  With both actions
+    omitted (`trivial`: F |><| G is F x G) all of it holds and none is read.
     """
 
     F: FiniteGroup
@@ -289,11 +291,14 @@ class MatchedPair:
     def __post_init__(self):
         nf, ng = self.F.order, self.G.order
         check_order(nf * ng)
+        self.trivial = self.act_right is None and self.act_left is None
         if self.act_right is None:
             self.act_right = [[g] * nf for g in range(ng)]
         if self.act_left is None:
             self.act_left = [range(nf)] * ng
-        left, right, fm, gm = self.act_left, self.act_right, self.F._table, self.G._table
+        if self.trivial:
+            return
+        left, right, fm, grow = self.act_left, self.act_right, self.F._table, self.G.row
         flats = []  # each table read once, flat over (g, y) at g*|F| + y
         for table, act, bound in ((left, "g |> y", nf), (right, "g <| y", ng)):
             if len(table) != ng or set(map(len, table)) != {nf}:
@@ -316,9 +321,10 @@ class MatchedPair:
                 r, y = divmod(next(i for i, w in enumerate(want) if w != got[i]), nf)
                 raise ValueError(f"not a matched pair: {text} fails at {names} = {(s, r, y)}")
         for g in self.G.generators():  # at h = 1 they give 1 <| y = 1
-            lgh, rgh = (chain.from_iterable(map(t.__getitem__, gm[g])) for t in (left, right))
+            lgh, rgh = (chain.from_iterable(map(t.__getitem__, grow(g))) for t in (left, right))
             law("(gh)|>y = g|>(h|>y)", "(g, h, y)", g, lgh, map(left[g].__getitem__, fl))
-            got = map(getitem, map(gm.__getitem__, map(right[g].__getitem__, fl)), fr)
+            rows = list(map(grow, right[g]))  # rows[y] = row g <| y of G
+            got = map(getitem, map(rows.__getitem__, fl), fr)
             law("(gh)<|y = (g<|(h|>y))(h<|y)", "(g, h, y)", g, rgh, got)
         for x in self.F.generators():  # at y = 1 they give g |> 1 = 1
             lx, rx, col = fl[x::nf], fr[x::nf], [row[x] for row in fm]  # col: y*x, each y
@@ -352,30 +358,51 @@ class BicrossedGroup(FiniteGroup):
         """|G|: blocks of |G| indices are the left cosets of G, as (x, g)(1, h) = (x, gh)."""
         return self.pair.G.order
 
+    def product(self, p, q):
+        """(x, g)(y, h) = (x (g |> y), (g <| y) h), through the factors until tabulated."""
+        if self._source is None:
+            return self._rows[p][q]
+        pair, ng = self.pair, self.pair.G.order
+        x, g = divmod(p, ng)
+        y, h = divmod(q, ng)
+        return pair.F.product(x, pair.act_left[g][y]) * ng + pair.G.product(pair.act_right[g][y], h)
+
+    def row(self, p):
+        """Row p = (x, g) through the factors' rows until tabulated: slice y is
+        G's row g <| y in block x (g |> y)."""
+        if self._source is None:
+            return self._rows[p]
+        pair, ng = self.pair, self.pair.G.order
+        x, g = divmod(p, ng)
+        fx, grow = pair.F.row(x), pair.G.row
+        return [fx[ly] * ng + h for ly, ry in zip(pair.act_left[g], pair.act_right[g]) for h in grow(ry)]
+
     def powers(self, p):
-        """The powers of p = (x, g) through the factor and action tables, no
+        """The powers of p = (x, g) through F's row x and G's products, no
         product table.  (x, g)^(k+1) has F-part x (g |> x_k), that of
         (x, g)(x_k, g_k), and G-part (g_k <| x) g, that of (x_k, g_k)(x, g),
         so each part steps from its own last value."""
         pair = self.pair
         ng = pair.G.order
         x, g = divmod(p, ng)
-        fx, lg, gm, right = pair.F._table[x], pair.act_left[g], pair.G._table, pair.act_right
+        fx, lg, gmul, right = pair.F.row(x), pair.act_left[g], pair.G.product, pair.act_right
         out, xk, gk = [0], x, g
         while xk or gk:
             out.append(xk * ng + gk)
-            xk, gk = fx[lg[xk]], gm[right[gk][x]][g]
+            xk, gk = fx[lg[xk]], gmul(right[gk][x], g)
         return out
 
 
 class CyclicGroup(FiniteGroup):
-    """Z_n (addition mod n), whose powers are multiples: no table."""
+    """Z_n (addition mod n), whose products and rows, and so powers, need no table."""
 
     __slots__ = ()
 
-    def powers(self, g):
-        n = self.order
-        return [k * g % n for k in range(n // math.gcd(g, n))]
+    def product(self, g, h):
+        return (g + h) % self.order
+
+    def row(self, g):
+        return [*range(g, self.order), *range(g)]
 
 
 def make_cyclic(n):
@@ -420,9 +447,10 @@ def spec_int(token, message, *args):
 @contextmanager
 def records(path):
     """For one `with` block, the (line number, tokens) of each non-blank line of
-    `path`, read a line at a time; the file is closed as the block ends, error or not."""
+    `path`, read a line at a time, its tokens lazily; closed as the block ends, error or not."""
     with open(path, "r", encoding="utf-8") as fh:
-        yield ((i, tokens) for i, line in enumerate(fh, 1) if (tokens := line.split()))
+        yield ((i, chain.from_iterable(m[0].split() for m in _TOKENS.finditer(line)))
+               for i, line in enumerate(fh, 1) if not line.isspace())
 
 
 def group_from_table_file(path):
@@ -472,6 +500,7 @@ def parse_group_spec(spec):
         grp = group_from_table_file(rest)
     else:
         raise SpecError(f"unknown group spec: {spec!r}")
-    for left in reversed(factors):  # each pair check tabulates grp, so no table recurses
+    for left in reversed(factors):  # G tabulated after the cap: no row, product or table recurses
         grp = direct_product(left, grp)
+        grp.pair.G._table
     return grp

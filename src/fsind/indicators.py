@@ -7,8 +7,8 @@ The n-th indicator of a pair (Gamma, omega) is
     nu_n = sum over g with g^n = 1 of prod_{k=1}^{n-1} omega(g, g^k, g),
 
 an exact cyclotomic integer.  The brute-force engine reads every nu_n from
-the cocycle's order profile (cached on the cocycle; one walk per cyclic
-subgroup for a normalized cocycle, one per element otherwise): an element g
+the cocycle's order profile (cached; for a normalized cocycle the walk of g
+fills in every power of g not yet seen, else g alone): an element g
 of order o | n contributes zeta_M^((n/o) * E_g - u_g).  It accumulates
 integer exponent counts and builds a single exact value at the end, so the
 hot loop stays in machine arithmetic.  `nu_literal` evaluates the

@@ -44,7 +44,7 @@ from fsind.extensions import (
     parse_family_spec,
     power_iteration,
 )
-from fsind.indicators import frobenius_check, nu_brute, nu_literal
+from fsind.indicators import frobenius_check, nu_brute, nu_h2n2_closed, nu_literal
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -57,6 +57,26 @@ class TestMatchedPairs:
         pair = trivial_pair(make_cyclic(3), make_cyclic(4))
         grp = BicrossedGroup(pair)
         assert grp.order == 12 and grp.exponent() == 12
+
+    def test_a_pair_with_both_actions_its_own_reads_no_factor(self):
+        # the laws hold by construction, so neither factor is tabulated or
+        # asked for its generators; tables handed in are checked, trivial or not
+        f_group, g_group = make_cyclic(20), make_cyclic(20)
+        pair = MatchedPair(f_group, g_group)
+        assert pair.trivial
+        for grp in (f_group, g_group):
+            assert grp._source is not None and grp._gens is None
+        handed = MatchedPair(f_group, g_group, pair.act_right, [list(range(20))] * 20)
+        assert not handed.trivial and f_group._source is None and g_group._gens == (1,)
+        with pytest.raises(ValueError, match="not a matched pair"):
+            MatchedPair(f_group, g_group, [[(g + y) % 20 for y in range(20)] for g in range(20)])
+
+    def test_a_product_chain_reads_no_factor_recursively(self):
+        # 1,999 trivial factors above Z_2: each G is tabulated as the chain
+        # is folded, so no row, product or power recurses through the chain
+        grp = parse_group_spec("product:cyclic:1," * 1999 + "cyclic:2")
+        assert grp.exponent() == 2 and grp.powers(1) == [0, 1] and grp.generators() == (1,)
+        assert grp.row(1) == [1, 0] and grp.product(1, 1) == 0
 
     @pytest.mark.parametrize(
         "f_group, g_group, right, left",
@@ -666,6 +686,46 @@ class TestNoProductTable:
                     grp.power(g, k)
                 grp.inv(g)
             assert grp._source is not None, cat.label
+
+    @staticmethod
+    def tables(grp, path="Gamma"):
+        """The tabulated groups among grp and its factors, by path."""
+        out = {path} if grp._source is None else set()
+        if isinstance(grp, BicrossedGroup):
+            out |= TestNoProductTable.tables(grp.pair.F, f"{path}.F")
+            out |= TestNoProductTable.tables(grp.pair.G, f"{path}.G")
+        return out
+
+    def test_the_factor_g_is_never_tabulated(self):
+        # Two tables remain.  The matched-pair check reads every row of F
+        # (law 4), so F is tabulated.  D_2L, the F of both Suzuki cases, is
+        # tabulated from its factors' tables (bicrossed_rows).  G and its
+        # factors give rows and products through their factors: the law
+        # check reads G's rows at its generators s and each s <| y, and the
+        # walks read G's products
+        for kind in ("h2n2", "hn3", "suzuki", "suzukiP"):
+            fam = FAMILIES[kind]
+            want = {"Gamma.F", "Gamma.F.F", "Gamma.F.G"} if "suzuki" in kind else {"Gamma.F"}
+            for params in fam.grid:
+                cat = fam.build(*params)
+                assert self.tables(cat.group) == want, fam.spec(params)
+                for n in divisors(cat.group.order):
+                    nu_brute(cat, n)
+                c_omega(cat.omega)
+                frobenius_check(cat)
+                assert self.tables(cat.group) == want, fam.spec(params)
+
+    def test_h2n2_45_builds_and_reads_every_indicator_in_under_4_mb(self):
+        # tabulating G = Z_45 x Z_45 alone would take 33.7 MB
+        tracemalloc.start()
+        try:
+            cat = parse_family_spec("h2n2:45:7")
+            values = {n: nu_brute(cat, n) for n in divisors(cat.group.order)}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values == {n: nu_h2n2_closed(45, 7, n) for n in values}
+        assert peak < 4_000_000, peak
 
     def test_checks_still_read_every_product(self):
         # verify_cocycle and conjugacy_classes on a group that has not been

@@ -19,6 +19,7 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {
     "family_hn3_9_1_1": ["family", "hn3:9:1:1", "--n", "all-divisors", "--check"],
     "family_h2n2_12_1": ["family", "h2n2:12:1", "--n", "all-divisors"],
+    "family_h2n2_45_7": ["family", "h2n2:45:7", "--n", "all-divisors", "--check"],
     "frobenius_h2n2_20_1": ["frobenius", "--family", "h2n2:20:1"],
     "frobenius_suzukiP_4_3_1": ["frobenius", "--family", "suzukiP:4:3:1"],
     "family_suzuki_5_30_m1_1": ["family", "suzuki:5:30:-1:1", "--n", "all-divisors", "--check"],

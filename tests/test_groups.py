@@ -524,6 +524,20 @@ class TestTableFiles:
         assert held <= 8_500_000, held
         assert peak <= 1.5 * held, (peak, held)
 
+    def test_order_512_on_one_line_loads_near_the_size_it_holds(self, tmp_path):
+        # a line's tokens are split 1,024 at a time: the peak is the table
+        # and the line's string as it is read (18.8 MB when split whole)
+        path = tmp_path / "z512.txt"
+        path.write_text("order 512\n" + " ".join(str((g + h) % 512) for g in range(512) for h in range(512)))
+        tracemalloc.start()
+        try:
+            grp = group_from_table_file(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grp.mul(500, 100) == 88
+        assert peak <= held + 2 * path.stat().st_size, (peak, held)
+
 
 class TestSpecParsing:
     def test_simple_specs(self):

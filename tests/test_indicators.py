@@ -136,23 +136,49 @@ class TestOrderProfileByCyclicSubgroup:
             oracle = dataclasses.replace(w, is_cocycle=False).order_profile
             assert w.order_profile == oracle, w.label
 
+    def test_matches_the_per_element_pass_on_the_divisor_sweep(self):
+        # the categories of perfbench's divisor-sweep: every parameter of
+        # h2n2:20, hn3:9 and suzuki:5:30, and psi^r on Z_400 and Z_360 for r
+        # of every gcd with N that the spread below reaches
+        specs = [
+            *(f"h2n2:20:{xi}" for xi in range(20)),
+            *(f"hn3:9:{xi}:{zeta}" for xi in range(9) for zeta in range(9)),
+            *(f"suzuki:5:30:{alpha}:{beta}" for alpha in (1, -1) for beta in (1, -1)),
+        ]
+        cocycles = [
+            *(parse_family_spec(spec).omega for spec in specs),
+            *(psi(400, r) for r in (0, 1, 2, 7, 16, 25, 40, 80, 150, 200, 399)),
+            *(psi(360, r) for r in (0, 1, 3, 8, 11, 45, 60, 120, 180, 359)),
+        ]
+        for w in cocycles:
+            oracle = dataclasses.replace(w, is_cocycle=False).order_profile
+            assert w.order_profile == oracle, w.label
+
+    @staticmethod
+    def calls_to_exp_fn(w):
+        """The calls to exp_fn that the order profile of w makes."""
+        calls = 0
+        f = w.exp_fn
+
+        def counted(g, h, k):
+            nonlocal calls
+            calls += 1
+            return f(g, h, k)
+
+        assert dataclasses.replace(w, exp_fn=counted).order_profile == w.order_profile
+        return calls
+
     def test_one_walk_per_cyclic_subgroup_on_z400(self):
-        # Z_400 has one cyclic subgroup of each order d | 400, walked in
-        # d - 1 calls: fewer than sigma(400) = 961 in all, against 89,091
-        # for one walk per element
+        # Z_400 is one cyclic subgroup, reached whole by the walk of 1 in
+        # 399 calls, against sigma(400) = 961 with one walk per cyclic
+        # subgroup and 89,091 with one per element
         for r in (1, 7):
-            calls = 0
-            w = psi(400, r)
-            f = w.exp_fn
+            assert self.calls_to_exp_fn(psi(400, r)) == 399, r
 
-            def counted(g, h, k):
-                nonlocal calls
-                calls += 1
-                return f(g, h, k)
-
-            counted_w = dataclasses.replace(w, exp_fn=counted)
-            assert counted_w.order_profile == w.order_profile
-            assert calls <= 961, (r, calls)
+    def test_calls_on_the_divisor_sweep_families(self):
+        # 1,771 and 1,426 with one walk per cyclic subgroup
+        for spec, calls in (("h2n2:20:11", 1468), ("suzuki:5:30:-1:1", 924)):
+            assert self.calls_to_exp_fn(parse_family_spec(spec).omega) == calls, spec
 
     def test_builders_set_the_field(self, tmp_path):
         z6 = make_cyclic(6)

@@ -13,7 +13,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, product
 from operator import itemgetter
 from typing import Callable
 
@@ -267,7 +267,7 @@ def verify_cocycle(cocycle, mode="auto"):
                 seen[h] = True
                 sh = mul(s, h)
                 there = first if seen[sh] else slice_of(sh)
-                hk = list(map(mul, repeat(h, n), range(n)))
+                hk = grp.row(h)
                 row = ws_bytes[h]
                 cells = [row[i:i + w8] for i in range(0, len(row), w8)]
                 # t1 + t3 + t5 + 2m - t2 - t4: f(h,k,l), f(s,hk,l), f(s,h,k) (each

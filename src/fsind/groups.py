@@ -88,21 +88,26 @@ class FiniteGroup:
         return self.powers(g)[-1]
 
     def generators(self):
-        """An irredundant generating set, computed once: the greedy one (each
-        element the earlier ones do not generate) less every element the
-        others generate.  In a group it has at most log2(order) elements."""
-        if self._gens is None:
-            gens, covered = [], {0}
-            for s in range(self.order):
-                if s not in covered:
-                    gens.append(s)
-                    covered = set(self.generated_subgroup(gens))
-            for s in list(gens):
-                rest = [t for t in gens if t != s]
-                if len(self.generated_subgroup(rest)) == self.order:
-                    gens = rest
-            self._gens = tuple(gens)
-        return self._gens
+        """An irredundant generating set, computed once (see generator_rows)."""
+        return tuple(self.generator_rows()) if self._gens is None else self._gens
+
+    def generator_rows(self):
+        """{s: row s} for each s of generators(), each row computed once.  The
+        set is the greedy one (each element the earlier ones do not generate)
+        less every element the others generate; in a group it has at most
+        log2(order) elements."""
+        if self._gens is not None:
+            return {s: self.row(s) for s in self._gens}
+        rows, covered = {}, {0}
+        for s in range(self.order):
+            if s not in covered:
+                rows[s] = self.row(s)
+                covered = _closure(rows.values())
+        for s in list(rows):
+            if len(_closure([r for t, r in rows.items() if t != s])) == self.order:
+                del rows[s]
+        self._gens = tuple(rows)
+        return rows
 
     def _check_axioms(self):
         """The one check of a table: its shape, the range of its entries, a 0
@@ -207,13 +212,7 @@ class FiniteGroup:
 
     def generated_subgroup(self, generators):
         """Sorted element list of the subgroup generated by the given elements."""
-        closure, frontier, rows = {0}, [0], list(map(self.row, generators))
-        while frontier:
-            for y in map(itemgetter(frontier.pop()), rows):  # g*x for each generator g
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        return sorted(closure)
+        return sorted(_closure(list(map(self.row, generators))))
 
     def subgroup(self, elements, label=None):
         """The subgroup on a multiplicatively closed element subset, reindexed."""
@@ -229,6 +228,19 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.label}, order={self.order})"
+
+
+def _closure(rows):
+    """The subgroup that the elements with the given rows generate, as a set:
+    all that products g*x reach from 0, a level of them at a time."""
+    closure, frontier = {0}, [0]
+    while frontier:
+        reached = set()
+        for row in rows:  # row g: g*x for each x
+            reached.update(map(row.__getitem__, frontier))
+        frontier = reached - closure
+        closure |= frontier
+    return closure
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +290,14 @@ class MatchedPair:
     factor is tabulated or default table built), shape, every value in range
     (none wraps round as a list index), the identity row and column, and the
     four laws that make F |><| G a group (Majid 1995, 6.2), each read only at
-    generators of G or F, which suffices by induction on word length: F's
-    table, G's rows at its generators s and each s <| y.  With both actions
-    omitted (`trivial`: F |><| G is F x G) all of it holds and none is read.
+    generators of G or F, which suffices by induction on word length.  An
+    omitted action makes two laws identities, so a given left action gets
+    laws 1 and 4, which read G's rows at its generators s and F's table,
+    and a given right action laws 2 and 3, which read G's rows at each s
+    and s <| y and F's products y*x at its generators x; no row of G is
+    computed twice.  A table handed in, trivial or not, is checked.  With
+    both actions omitted (`trivial`: F |><| G is F x G) all of it holds and
+    none is read.
     """
 
     F: FiniteGroup
@@ -291,14 +308,15 @@ class MatchedPair:
     def __post_init__(self):
         nf, ng = self.F.order, self.G.order
         check_order(nf * ng)
-        self.trivial = self.act_right is None and self.act_left is None
-        if self.act_right is None:
+        given_left, given_right = self.act_left is not None, self.act_right is not None
+        self.trivial = not (given_left or given_right)
+        if not given_right:
             self.act_right = [[g] * nf for g in range(ng)]
-        if self.act_left is None:
+        if not given_left:
             self.act_left = [range(nf)] * ng
         if self.trivial:
             return
-        left, right, fm, grow = self.act_left, self.act_right, self.F._table, self.G.row
+        left, right = self.act_left, self.act_right
         flats = []  # each table read once, flat over (g, y) at g*|F| + y
         for table, act, bound in ((left, "g |> y", nf), (right, "g <| y", ng)):
             if len(table) != ng or set(map(len, table)) != {nf}:
@@ -320,19 +338,33 @@ class MatchedPair:
             if (want := list(want)) != (got := list(got)):
                 r, y = divmod(next(i for i, w in enumerate(want) if w != got[i]), nf)
                 raise ValueError(f"not a matched pair: {text} fails at {names} = {(s, r, y)}")
-        for g in self.G.generators():  # at h = 1 they give 1 <| y = 1
-            lgh, rgh = (chain.from_iterable(map(t.__getitem__, grow(g))) for t in (left, right))
-            law("(gh)|>y = g|>(h|>y)", "(g, h, y)", g, lgh, map(left[g].__getitem__, fl))
-            rows = list(map(grow, right[g]))  # rows[y] = row g <| y of G
-            got = map(getitem, map(rows.__getitem__, fl), fr)
-            law("(gh)<|y = (g<|(h|>y))(h<|y)", "(g, h, y)", g, rgh, got)
+        # an omitted action makes two laws identities, which are skipped: with
+        # g |> y = y, laws 1 and 4 read y = y and yx = y*x, and with g <| y = g,
+        # laws 2 and 3 read gh = gh and g = g
+        gens = self.G.generator_rows()
+        rows = dict(gens)  # G's rows by element, each computed once
+        for g, row_g in gens.items():  # at h = 1 they give 1 <| y = 1
+            if given_left:
+                lgh = chain.from_iterable(map(left.__getitem__, row_g))
+                law("(gh)|>y = g|>(h|>y)", "(g, h, y)", g, lgh, map(left[g].__getitem__, fl))
+            if given_right:
+                for v in set(right[g]).difference(rows):
+                    rows[v] = self.G.row(v)
+                ry = list(map(rows.__getitem__, right[g]))  # ry[y] = row g <| y of G
+                rgh = chain.from_iterable(map(right.__getitem__, row_g))
+                got = map(getitem, map(ry.__getitem__, fl), fr)
+                law("(gh)<|y = (g<|(h|>y))(h<|y)", "(g, h, y)", g, rgh, got)
+        fm = self.F._table if given_left else None  # law 4 reads every row of F
         for x in self.F.generators():  # at y = 1 they give g |> 1 = 1
-            lx, rx, col = fl[x::nf], fr[x::nf], [row[x] for row in fm]  # col: y*x, each y
-            yx = [base + c for base in range(0, nf * ng, nf) for c in col]  # at (g, y*x)
-            lyx, ryx = (map(t.__getitem__, yx) for t in (fl, fr))
-            law("g<|(yx) = (g<|y)<|x", "(x, g, y)", x, ryx, map(rx.__getitem__, fr))
-            got = map(getitem, map(fm.__getitem__, fl), map(lx.__getitem__, fr))
-            law("g|>(yx) = (g|>y)((g<|y)|>x)", "(x, g, y)", x, lyx, got)
+            # a table row read at y*x, each y (a tuple: nf > 1)
+            at_yx = itemgetter(*map(self.F.product, range(nf), repeat(x)))
+            if given_right:
+                ryx, rx = chain.from_iterable(map(at_yx, right)), fr[x::nf]
+                law("g<|(yx) = (g<|y)<|x", "(x, g, y)", x, ryx, map(rx.__getitem__, fr))
+            if given_left:
+                lyx, lx = chain.from_iterable(map(at_yx, left)), fl[x::nf]
+                got = map(getitem, map(fm.__getitem__, fl), map(lx.__getitem__, fr))
+                law("g|>(yx) = (g|>y)((g<|y)|>x)", "(x, g, y)", x, lyx, got)
 
 
 def trivial_pair(f_group, g_group):

@@ -335,6 +335,27 @@ def light_accepts(f_group, g_group, left, right):
     return True
 
 
+SMALL_SPECS = [
+    ("cyclic:2", "cyclic:2"), ("cyclic:2", "cyclic:3"), ("cyclic:3", "cyclic:2"),
+    ("cyclic:2", "product:cyclic:2,cyclic:2"), ("product:cyclic:2,cyclic:2", "cyclic:2"),
+]
+
+
+def action_tables(f_group, g_group, sides):
+    """Every (left, right) with the identity row and column whose other
+    entries take every value on the given sides (0: left, 1: right) and are
+    trivial on the others."""
+    nf, ng = f_group.order, g_group.order
+    free = [(0, g, y) for g in range(1, ng) for y in range(nf) if 0 in sides]
+    free += [(1, g, y) for g in range(ng) for y in range(1, nf) if 1 in sides]
+    for values in product(*[range((nf, ng)[side]) for side, _, _ in free]):
+        left = [list(range(nf))] + [[0] * nf if 0 in sides else list(range(nf)) for _ in range(1, ng)]
+        right = [[g] * nf for g in range(ng)]
+        for (side, g, y), v in zip(free, values):
+            (left, right)[side][g][y] = v
+        yield left, right
+
+
 class TestPairLaws:
     @settings(max_examples=1200, deadline=None)
     @given(changed_actions())
@@ -347,26 +368,15 @@ class TestPairLaws:
             accepted = False
         assert accepted == light_accepts(f_group, g_group, left, right)
 
-    @pytest.mark.parametrize(
-        "f_spec, g_spec",
-        [("cyclic:2", "cyclic:2"), ("cyclic:2", "cyclic:3"), ("cyclic:3", "cyclic:2"),
-         ("cyclic:2", "product:cyclic:2,cyclic:2"), ("product:cyclic:2,cyclic:2", "cyclic:2")],
-    )
+    @pytest.mark.parametrize("f_spec, g_spec", SMALL_SPECS)
     def test_every_small_action_table_agrees_with_light(self, f_spec, g_spec):
         # every action table with the identity row and column: among them are
         # tables that break exactly one of the four laws, for each law, and
         # with two generators, tables that keep a law at one and break it at
         # the other
         f_group, g_group = parse_group_spec(f_spec), parse_group_spec(g_spec)
-        nf, ng = f_group.order, g_group.order
-        free = [(0, g, y) for g in range(1, ng) for y in range(nf)]
-        free += [(1, g, y) for g in range(ng) for y in range(1, nf)]
         accepted = 0
-        for values in product(*[range((nf, ng)[side]) for side, _, _ in free]):
-            left = [list(range(nf))] + [[0] * nf for _ in range(1, ng)]
-            right = [[g] * nf for g in range(ng)]
-            for (side, g, y), v in zip(free, values):
-                (left, right)[side][g][y] = v
+        for left, right in action_tables(f_group, g_group, (0, 1)):
             try:
                 MatchedPair(f_group, g_group, right, left)
                 ok = True
@@ -375,6 +385,31 @@ class TestPairLaws:
             assert ok == light_accepts(f_group, g_group, left, right), (left, right)
             accepted += ok
         assert accepted
+
+    @pytest.mark.parametrize(
+        "f_spec, g_spec", [*SMALL_SPECS, ("cyclic:4", "cyclic:2"), ("cyclic:2", "cyclic:4")]
+    )
+    def test_every_small_action_with_the_other_omitted_agrees_with_light(self, f_spec, g_spec):
+        # the pair checks only the two laws a given action can break, the
+        # other two being identities of the trivial one.  On the first five
+        # specs each of the four laws fails alone, but law 4 only at y = 1
+        # (g |> 1 != 1) and law 2 only at h = 1 (1 <| y != 1); swapping 2
+        # and 3 breaks law 4 alone elsewhere as G = Z_2 acting on F = Z_4
+        # from the left, and law 2 alone as F = Z_2 acting on G = Z_4 from
+        # the right
+        f_group, g_group = parse_group_spec(f_spec), parse_group_spec(g_spec)
+        for side in (0, 1):
+            accepted = rejected = 0
+            for left, right in action_tables(f_group, g_group, (side,)):
+                given = {"act_right": right} if side else {"act_left": left}
+                try:
+                    MatchedPair(f_group, g_group, **given)
+                    ok = True
+                except ValueError:
+                    ok = False
+                assert ok == light_accepts(f_group, g_group, left, right), (left, right)
+                accepted, rejected = accepted + ok, rejected + (not ok)
+            assert accepted and rejected, side
 
     def test_no_family_or_pair_file_runs_the_group_check(self, monkeypatch, tmp_path):
         calls = []
@@ -697,15 +732,15 @@ class TestNoProductTable:
         return out
 
     def test_the_factor_g_is_never_tabulated(self):
-        # Two tables remain.  The matched-pair check reads every row of F
-        # (law 4), so F is tabulated.  D_2L, the F of both Suzuki cases, is
-        # tabulated from its factors' tables (bicrossed_rows).  G and its
-        # factors give rows and products through their factors: the law
-        # check reads G's rows at its generators s and each s <| y, and the
-        # walks read G's products
+        # Only the Suzuki pairs tabulate a factor.  They give a left action,
+        # and law 4 of the matched-pair check, which runs only then, reads
+        # every row of F, so D_2L is tabulated, from its factors' tables
+        # (bicrossed_rows).  h2n2 and hn3 give only a right action: laws 2
+        # and 3 read G's rows at its generators s and each s <| y, and a
+        # column of F through its products.  The walks read G's products
         for kind in ("h2n2", "hn3", "suzuki", "suzukiP"):
             fam = FAMILIES[kind]
-            want = {"Gamma.F", "Gamma.F.F", "Gamma.F.G"} if "suzuki" in kind else {"Gamma.F"}
+            want = {"Gamma.F", "Gamma.F.F", "Gamma.F.G"} if "suzuki" in kind else set()
             for params in fam.grid:
                 cat = fam.build(*params)
                 assert self.tables(cat.group) == want, fam.spec(params)
@@ -714,6 +749,20 @@ class TestNoProductTable:
                 c_omega(cat.omega)
                 frobenius_check(cat)
                 assert self.tables(cat.group) == want, fam.spec(params)
+
+    def test_the_h2n2_20_build_computes_each_row_of_g_once(self, monkeypatch):
+        # G = Z_20 x Z_20 has generators 1 and 20, found from their rows, and
+        # law 2 reads rows s and s <| 1 at each, the swap of s: the same two
+        calls = []
+        row = BicrossedGroup.row
+
+        def counting_row(self, p):
+            calls.append((self.label, p))
+            return row(self, p)
+
+        monkeypatch.setattr(BicrossedGroup, "row", counting_row)
+        parse_family_spec("h2n2:20:11")
+        assert calls == [("(Z20xZ20)", 1), ("(Z20xZ20)", 20)]
 
     def test_h2n2_45_builds_and_reads_every_indicator_in_under_4_mb(self):
         # tabulating G = Z_45 x Z_45 alone would take 33.7 MB
